@@ -4,8 +4,9 @@ Each subcommand loads JSON inputs, runs the corresponding library
 operations, and prints a certificate: the command, digests of every input
 file, the computed quantities, and a list of asserted inequalities with both
 sides, the tolerance, and a pass flag. Exit status is 0 when every
-assertion passes, 1 when one fails, and 2 on malformed input. Identical
-inputs and seeds produce byte-identical output.
+assertion passes, 1 when one fails, and 2 when the input or the run fails
+(malformed input, a missing file, or any other error). Identical inputs
+and seeds produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -433,12 +434,17 @@ def run(argv) -> int:
         return code if isinstance(code, int) else 2
     try:
         cert = args.handler(args)
-    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = dumps_json(cert)
+    except Exception as exc:  # exit 1 means a failed check, so any other failure is 2
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    print(dumps_json(cert))
+    print(text)
     return 0 if all(c["pass"] for c in cert["checks"]) else 1
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

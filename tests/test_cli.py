@@ -199,3 +199,26 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     cert = json.loads(proc.stdout)
     assert cert["quantities"]["c1"] == 7.0
+
+
+def test_unexpected_error_exits_2(tmp_path, capsys):
+    # a point id nested 100,000 lists deep makes the JSON decoder raise RecursionError
+    deep = "[" * 100_000 + "0" + "]" * 100_000
+    text = (
+        '{"space": {"factor1": {"points": [' + deep + '], "masses": [1]}, '
+        '"factor2": {"points": [0], "masses": [1]}}, "re": [[1]]}'
+    )
+    ffile = _write(tmp_path / "deep.json", text)
+    code, cert, err = _run(capsys, ["sumnorm", "--function", ffile])
+    assert code == 2
+    assert cert is None
+    assert err.startswith("error: RecursionError")
+
+
+@pytest.mark.parametrize("module", ["schurkit", "schurkit.cli"])
+def test_python_dash_m_missing_file_exits_2(tmp_path, module):
+    argv = [sys.executable, "-m", module, "schur", "--kernel", str(tmp_path / "absent.json")]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")

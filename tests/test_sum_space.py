@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import schurkit as sk
+from schurkit.sum_space import RECTANGLE_CAP
 
-from conftest import counting_grid_1234, rand_function, rand_product
+from conftest import counting_grid_1234, rand_function, rand_product, rand_space
 
 INF = sk.INF
 
@@ -237,3 +240,137 @@ def test_four_split_norm_sum_sandwich():
         tensor = sk.rho_tensor(F)
         assert tensor <= sum(split.corner_norms()) * (1 + 1e-12) + 1e-15
         assert sum(split.corner_norms()) <= 16.0 * tensor * (1 + 1e-12) + 1e-15
+
+
+def _rho_excess_matrix(vals, masses):
+    # the former dense formula: psi(lam) = lam + sum((vals - lam)_+ * masses)
+    # minimized over lam in {0} and the values, via an (n+1) x n excess matrix
+    lams = np.concatenate(([0.0], np.unique(vals)))
+    excess = np.clip(vals[None, :] - lams[:, None], 0.0, None)
+    return float((lams + excess @ masses).min())
+
+
+def test_rho_sorted_cumsum_matches_references():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 7, 40, 500):
+        for lo in (0.01, 0.2, 2.0):  # total mass below, around and above 1
+            masses = lo + rng.random(n) / n
+            vals = rng.random(n) * 10.0
+            vals[rng.random(n) < 0.2] = 0.0
+            vals[: n // 3] = vals[n // 3 : 2 * (n // 3)]  # ties
+            expect = _rho_excess_matrix(vals, masses)
+            assert sk.rho(_factor(masses, vals)) == pytest.approx(expect, rel=1e-12, abs=1e-300)
+    # integer values and dyadic masses: a 0.5 scan lands on every breakpoint exactly
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        f = _factor(0.25 * rng.integers(1, 6, size=n), rng.integers(0, 7, size=n).astype(float))
+        assert sk.rho(f) == pytest.approx(sk.brute_rho(f, grid_step=0.5), rel=1e-12, abs=1e-300)
+
+
+def test_rho_memory_is_linear():
+    import tracemalloc
+
+    rng = np.random.default_rng(13)
+    n = 4000  # the excess-matrix form would allocate (n + 1) * n * 8 bytes = 128 MB
+    f = _factor(0.1 + rng.random(n), rng.random(n))
+    tracemalloc.start()
+    try:
+        sk.rho(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n * 8
+
+
+def _greedy_budget_loop(vals, masses):
+    u = [0.0] * len(vals)
+    before = 0.0
+    for i in sorted(range(len(vals)), key=lambda i: -vals[i]):
+        u[i] = min(1.0, max(0.0, (1.0 - before) / masses[i]))
+        before += masses[i]
+    return u
+
+
+def _greedy_partner_loop(absF, m1, m2):
+    n1, n2 = absF.shape
+    cols = [_greedy_budget_loop(absF[:, j], m1) for j in range(n2)]
+    payoff = [sum(absF[i, j] * cols[j][i] * m1[i] for i in range(n1)) for j in range(n2)]
+    h = _greedy_budget_loop(payoff, m2)
+    return np.array([[cols[j][i] * h[j] for j in range(n2)] for i in range(n1)])
+
+
+def _pairing_sup_one_at_a_time(F, trials, seed, partner=True):
+    """Pairs every candidate separately through sk.intersection_norm."""
+    space = F.space
+    n1, n2 = space.shape
+    absF = np.abs(F.values)
+    weighted = absF * space.mass_grid
+    candidates = []
+    if (2**n1 - 1) * (2**n2 - 1) <= RECTANGLE_CAP:
+        for V in itertools.product((0.0, 1.0), repeat=n1):
+            for W in itertools.product((0.0, 1.0), repeat=n2):
+                if any(V) and any(W):
+                    candidates.append(np.outer(V, W))
+    else:
+        for i in range(n1):
+            for j in range(n2):
+                g = np.zeros((n1, n2))
+                g[i, j] = 1.0
+                candidates.append(g)
+    candidates.append(np.ones((n1, n2)))
+    if partner:
+        candidates.append(_greedy_partner_loop(absF, space.factor1.masses, space.factor2.masses))
+    rng = np.random.default_rng(seed)
+    candidates.extend(rng.random((n1, n2)) for _ in range(trials))
+    best = 0.0
+    for g in candidates:
+        norm = sk.intersection_norm(sk.GridFunction(space, g))
+        if norm > 0.0:
+            best = max(best, float((weighted * g).sum()) / norm)
+    return best
+
+
+PAIRING_SHAPES = [(3, 4), (5, 5), (6, 7), (17, 1), (9, 8)]  # the last two pass RECTANGLE_CAP
+
+
+@pytest.mark.parametrize("shape", PAIRING_SHAPES, ids="{0[0]}x{0[1]}".format)
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "cplx"])
+def test_pairing_sup_matches_one_at_a_time_reference(shape, complex_values):
+    rng = np.random.default_rng([14, *shape, int(complex_values)])
+    X = sk.ProductSpace(rand_space(rng, shape[0], lo=0.05), rand_space(rng, shape[1], lo=0.05))
+    F = rand_function(rng, X, complex_values=complex_values)
+    got = sk.associate_pairing_sup(F, trials=8, seed=3)
+    assert got == pytest.approx(_pairing_sup_one_at_a_time(F, trials=8, seed=3), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", PAIRING_SHAPES, ids="{0[0]}x{0[1]}".format)
+def test_pairing_sup_rectangles_without_greedy_partner(shape, monkeypatch):
+    # the greedy partner usually wins; replacing it by a second constant
+    # function leaves the rectangles or point masses to set the bound
+    rng = np.random.default_rng([15, *shape])
+    X = sk.ProductSpace(*(sk.Space(range(n), 0.05 + 2.0 * rng.random(n)) for n in shape))
+    F = rand_function(rng, X, complex_values=True)
+    monkeypatch.setattr(sk.sum_space, "_greedy_pairing_partner", lambda absF, space: np.ones(absF.shape))
+    got = sk.associate_pairing_sup(F, trials=1, seed=4)
+    assert got == pytest.approx(_pairing_sup_one_at_a_time(F, trials=1, seed=4, partner=False), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (9, 8)], ids=["rectangles", "points"])
+def test_pairing_sup_of_rectangle_indicator_is_exact(shape):
+    # Hoelder: integral of G over V x W is at most ||G||_1, mu1(V) mu2(W) ||G||_inf,
+    # mu2(W) ||G||_{1,inf} and mu1(V) ||G||_{inf,1}, so the sup is rectangle_lower_bound
+    rng = np.random.default_rng([17, *shape])
+    for _ in range(10):
+        X = sk.ProductSpace(*(sk.Space(range(n), 0.05 + 2.0 * rng.random(n)) for n in shape))
+        V = [p for p in X.factor1.points if rng.random() < 0.5] or [0]
+        W = [p for p in X.factor2.points if rng.random() < 0.5] or [0]
+        ind = np.zeros(shape)
+        ind[np.ix_(V, W)] = 1.0
+        got = sk.associate_pairing_sup(sk.GridFunction(X, ind), trials=4)
+        assert got == pytest.approx(sk.rectangle_lower_bound(X, V, W), rel=1e-12)
+
+
+def test_batched_draw_equals_sequential_draws():
+    batched = np.random.default_rng(16).random((9, 4, 3))
+    rng = np.random.default_rng(16)
+    np.testing.assert_array_equal(batched, np.stack([rng.random((4, 3)) for _ in range(9)]))
