@@ -4,12 +4,13 @@ Loading validates shapes and positivity and returns the corresponding
 library objects; dumping inverts it. `dumps_json` is a hand-rolled
 serializer emitting floats with 17 significant digits (round-trip exact in
 double precision) and infinities as the string "inf"; byte-identical output
-for identical data is part of the contract.
+for identical data is part of the contract. Dumped functions and kernels
+keep their values as float64 arrays, which `dumps_json` formats a row at a
+time.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -34,7 +35,6 @@ __all__ = [
     "dump_grid_function",
     "dump_kernel",
     "dumps_json",
-    "file_digest",
 ]
 
 
@@ -132,16 +132,16 @@ def dump_product(space: ProductSpace) -> dict:
 
 
 def dump_grid_function(f: GridFunction) -> dict:
-    out = {"space": dump_product(f.space), "re": np.real(f.values).tolist()}
+    out = {"space": dump_product(f.space), "re": np.real(f.values)}
     if not f.is_real:
-        out["im"] = np.imag(f.values).tolist()
+        out["im"] = np.imag(f.values)
     return out
 
 
 def dump_kernel(K: Kernel) -> dict:
-    out = {"X": dump_product(K.X), "Y": dump_product(K.Y), "re": np.real(K.values).tolist()}
+    out = {"X": dump_product(K.X), "Y": dump_product(K.Y), "re": np.real(K.values)}
     if not K.is_real:
-        out["im"] = np.imag(K.values).tolist()
+        out["im"] = np.imag(K.values)
     if isinstance(K, WeightGrid):
         out["positive"] = True
     return out
@@ -167,6 +167,16 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
+def _emit_array(a: np.ndarray, pieces: list) -> None:
+    """Nested-list text of a finite, non-empty float array, one format per row."""
+    width = a.shape[-1]
+    row = "[" + ", ".join(["%.17g"] * width) + "]"
+    text = [row % tuple(r) for r in a.reshape(a.size // width, width).tolist()]
+    for n in reversed(a.shape[:-1]):
+        text = ["[" + ", ".join(text[i : i + n]) + "]" for i in range(0, len(text), n)]
+    pieces.append(text[0])
+
+
 def _emit(obj, indent: int, pieces: list) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -179,6 +189,11 @@ def _emit(obj, indent: int, pieces: list) -> None:
             _emit(v, indent + 1, pieces)
             pieces.append(",\n" if i + 1 < len(obj) else "\n")
         pieces.append(pad + "}")
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim and obj.size and obj.dtype.kind == "f" and np.isfinite(obj).all():
+            _emit_array(obj, pieces)
+        else:  # infinities, NaN, other dtypes and empty arrays take the list path
+            _emit(obj.tolist(), indent, pieces)
     elif isinstance(obj, (list, tuple)):
         seq = list(obj)
         if not seq:
@@ -211,8 +226,3 @@ def dumps_json(obj) -> str:
     pieces: list = []
     _emit(obj, 0, pieces)
     return "".join(pieces)
-
-
-def file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()

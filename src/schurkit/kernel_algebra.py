@@ -102,8 +102,8 @@ def compose(K: Kernel, L: Kernel) -> Kernel:
     """Mass-weighted composition: (K . L)(x, z) = sum_y K(x,y) L(y,z) nu({y})."""
     if K.Y != L.X:
         raise ValueError("middle spaces do not match")
-    vals = np.einsum("abcd,cd,cdef->abef", K.values, K.Y.mass_grid, L.values)
-    return Kernel(K.X, L.Y, vals)
+    vals = (K.values * K.Y.mass_grid).reshape(K.X.size, K.Y.size) @ L.values.reshape(L.X.size, L.Y.size)
+    return Kernel(K.X, L.Y, vals.reshape(K.X.shape + L.Y.shape))
 
 
 def identity_kernel(space: ProductSpace) -> Kernel:
@@ -162,13 +162,19 @@ def lift_plain_kernel(a, X1: Space | None = None, Y1: Space | None = None) -> Ke
 
 
 def submult_weight_constant(tau: WeightGrid, omega: WeightGrid, sigma: WeightGrid) -> float:
-    """Smallest C with tau(x,z) <= C * omega(x,y) * sigma(y,z) for all x,y,z."""
+    """Smallest C with tau(x,z) <= C * omega(x,y) * sigma(y,z) for all x,y,z.
+
+    Streamed one target point x at a time: the largest ratio over y is
+    tau(x,z) / min_y omega(x,y) sigma(y,z), because rounded division by a
+    positive number is monotone in the divisor, so no (X, Y, Z) array is built.
+    """
     if omega.X != tau.X or sigma.Y != tau.Y or omega.Y != sigma.X:
         raise ValueError("weight grids do not chain")
-    ratio = tau.values[:, :, None, None, :, :] / (
-        omega.values[:, :, :, :, None, None] * sigma.values[None, None, :, :, :, :]
-    )
-    return float(ratio.max())
+    n_x, n_y, n_z = tau.X.size, sigma.X.size, tau.Y.size
+    t = tau.values.reshape(n_x, n_z)
+    o = omega.values.reshape(n_x, n_y)
+    s = sigma.values.reshape(n_y, n_z)
+    return float(max((t[x] / (o[x][:, None] * s).min(axis=0)).max() for x in range(n_x)))
 
 
 def weight_domination_constant(v: GridFunction, w: GridFunction, m: WeightGrid) -> float:

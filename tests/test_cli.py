@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 import schurkit as sk
 from schurkit.cli import run
 from schurkit.jsonio import dump_grid_function, dump_kernel, dumps_json
+from schurkit.operators import VERTEX_CAP
 
 
 def _write(path, obj):
@@ -222,3 +224,61 @@ def test_python_dash_m_missing_file_exits_2(tmp_path, module):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
+
+
+def _as_lists(obj):
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in obj.items()}
+
+
+def test_array_emit_matches_list_emit():
+    rng = np.random.default_rng(21)
+    X = sk.ProductSpace(sk.counting_space(3), sk.counting_space(2))
+    Y = sk.ProductSpace(sk.counting_space(2), sk.counting_space(4))
+    special = [-0.0, 5e-324, 1e300, -1e300, 2.5e-310, 1.0, 0.1, -7.0]
+    for cplx in (False, True):
+        vals = rng.standard_normal(X.shape + Y.shape) * 10.0 ** rng.integers(-300, 300, X.shape + Y.shape)
+        vals.flat[: len(special)] = special
+        if cplx:
+            vals = vals + 1j * vals[::-1]
+        K = sk.Kernel(X, Y, vals)
+        for dumped in (dump_kernel(K), dump_kernel(sk.transpose(K)),
+                       dump_grid_function(sk.GridFunction(X, vals[:, :, 0, 0]))):
+            assert isinstance(dumped["re"], np.ndarray)
+            text = dumps_json(dumped)
+            assert text == dumps_json(_as_lists(dumped))
+            assert json.loads(text)["re"] == dumped["re"].tolist()
+
+
+def test_array_emit_keeps_inf_and_refuses_nan():
+    assert dumps_json({"a": np.array([[1.0, np.inf], [-np.inf, 0.5]])}) == (
+        '{\n  "a": [[1, "inf"], ["-inf", 0.5]]\n}'
+    )
+    with pytest.raises(ValueError):
+        dumps_json({"a": np.array([1.0, np.nan])})
+
+
+def test_schur_corner_past_vertex_cap(tmp_path, capsys):
+    # 2^20 unit-ball vertices: the corner check still runs
+    X = sk.ProductSpace(sk.singleton_space(), sk.singleton_space())
+    Y = sk.ProductSpace(sk.counting_space(2), sk.counting_space(20))
+    assert 2**20 > VERTEX_CAP
+    kfile = _write(tmp_path / "wide.json", dump_kernel(sk.Kernel(X, Y, np.ones((1, 1, 2, 20)))))
+    code, cert, _ = _run(capsys, ["schur", "--kernel", kfile, "--p", "1", "--q", "inf"])
+    assert code == 0
+    assert cert["quantities"]["corner_opnorm"] == pytest.approx(20.0, rel=1e-12)
+    assert _check(cert, "corner_opnorm_equals_c3")["pass"]
+
+
+def test_input_digest_is_sha256_of_file(tmp_path, capsys):
+    kfile = _lifted_kernel_file(tmp_path)
+    code, cert, _ = _run(capsys, ["schur", "--kernel", kfile])
+    assert code == 0
+    with open(kfile, "rb") as fh:
+        assert cert["inputs"]["kernel"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_utf8_bom_input_exits_2(tmp_path, capsys):
+    kfile = tmp_path / "bom.json"
+    kfile.write_bytes(b"\xef\xbb\xbf" + dumps_json(dump_kernel(sk.lift_plain_kernel([[1.0]]))).encode())
+    code, cert, err = _run(capsys, ["schur", "--kernel", str(kfile)])
+    assert code == 2 and cert is None and err.startswith("error:")

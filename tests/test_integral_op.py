@@ -10,6 +10,7 @@ from conftest import (
     rand_kernel,
     rand_positive,
     rand_product,
+    rand_space,
 )
 
 INF = sk.INF
@@ -158,13 +159,57 @@ def test_corner_opnorm_input_validation():
         sk.corner_opnorm(cplx, 1, 1)
 
 
-def test_corner_opnorm_enumeration_cap():
-    # 2^20 selections for the (1, inf) corner exceeds the enumeration cap
+def test_corner_opnorm_past_enumeration_cap():
+    # 2^20 vertices for the (1, inf) corner: past the oracle's cap, but the
+    # closed form needs only one vertex per target point
     Y = sk.ProductSpace(sk.counting_space(2), sk.counting_space(20))
     X = sk.ProductSpace(sk.singleton_space(), sk.singleton_space())
     K = sk.Kernel(X, Y, np.ones((1, 1, 2, 20)))
+    assert sk.corner_opnorm(K, 1, INF) == pytest.approx(20.0, rel=1e-12)
+    assert sk.schur_constants(K).c3 == pytest.approx(20.0, rel=1e-12)
     with pytest.raises(ValueError):
-        sk.corner_opnorm(K, 1, INF)
+        sk.brute_corner_opnorm(K, 1, INF)
+
+
+def test_corner_opnorm_matches_oracle_on_many_vertices():
+    # 2^14 = 16384 vertices, all enumerated by the oracle
+    rng = np.random.default_rng(17)
+    X = sk.ProductSpace(rand_space(rng, 1), rand_space(rng, 2))
+    Y = sk.ProductSpace(rand_space(rng, 2), rand_space(rng, 14))
+    K = rand_kernel(rng, X, Y)
+    got = sk.corner_opnorm(K, 1, INF)
+    assert got == pytest.approx(sk.brute_corner_opnorm(K, 1, INF), rel=1e-12)
+    assert got == pytest.approx(sk.schur_constants(K).c3, rel=1e-12)
+
+
+def test_corner_opnorm_witness():
+    # rebuild the extremal vertex from its definition and apply the kernel
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        K = rand_kernel(rng, rand_product(rng, 4), rand_product(rng, 4))
+        mu1 = K.X.factor1.masses
+        nu1 = K.Y.factor1.masses
+        c3 = sk.schur_constants(K).c3
+        inner = np.einsum("a,abcd->bcd", mu1, K.values)  # (x2, y1, y2)
+        x2 = int(np.argmax(inner.max(axis=1) @ K.Y.factor2.masses))  # the target point attaining c3
+        f = np.zeros(K.Y.shape)
+        for d in range(K.Y.shape[1]):
+            c = int(np.argmax(inner[x2, :, d]))
+            f[c, d] = 1.0 / nu1[c]
+        witness = sk.GridFunction(K.Y, f)
+        assert sk.mixed_norm(witness, 1, INF) == pytest.approx(1.0, rel=1e-12)
+        image = sk.mixed_norm(sk.apply_kernel(K, witness), 1, INF)
+        assert image == pytest.approx(c3, rel=1e-12)
+        assert image == pytest.approx(sk.corner_opnorm(K, 1, INF), rel=1e-12)
+
+
+def test_apply_kernel_matches_einsum_reference():
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        K = rand_kernel(rng, rand_product(rng, 4), rand_product(rng, 4), complex_values=bool(rng.integers(2)))
+        f = rand_function(rng, K.Y, complex_values=bool(rng.integers(2)))
+        expect = np.einsum("abcd,cd->ab", K.values, f.values * K.Y.mass_grid)
+        np.testing.assert_allclose(sk.apply_kernel(K, f).values, expect, rtol=1e-12, atol=1e-14)
 
 
 def test_corner_matches_constants_and_oracle():

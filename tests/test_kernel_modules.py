@@ -223,6 +223,20 @@ def test_submult_weight_constant_rejects_broken_chain():
             sk.submult_weight_constant(m1, m1, m2)
 
 
+def test_submult_weight_constant_equals_dense_ratio():
+    # the streamed maximum is bitwise the maximum of the full (X, Y, Z) ratio
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        X, Y, Z = rand_product(rng, 4), rand_product(rng, 4), rand_product(rng, 4)
+        tau = rand_weight_grid(rng, X, Z, lo=1e-3, hi=1e3)
+        omega = rand_weight_grid(rng, X, Y, lo=1e-3, hi=1e3)
+        sigma = rand_weight_grid(rng, Y, Z, lo=1e-3, hi=1e3)
+        ratio = tau.values[:, :, None, None, :, :] / (
+            omega.values[:, :, :, :, None, None] * sigma.values[None, None, :, :, :, :]
+        )
+        assert sk.submult_weight_constant(tau, omega, sigma) == float(ratio.max())
+
+
 def test_weighted_operator_bound():
     # the weighted mixed-norm action of K is controlled by norm_B(K, m)
     # once the target and source weights are dominated through m
