@@ -55,6 +55,7 @@ from .mixed_norm import (
 from .operators import (
     Kernel,
     SchurConstants,
+    SlabKernel,
     apply_kernel,
     corner_opnorm,
     opnorm_lower_search,
@@ -97,6 +98,7 @@ __all__ = [
     "dual_pairing_sup",
     # integral operators
     "Kernel",
+    "SlabKernel",
     "SchurConstants",
     "apply_kernel",
     "schur_constants",

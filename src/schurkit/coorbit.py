@@ -7,7 +7,9 @@ orthogonal projection onto the transform's range, and `coorbit_report`
 evaluates every hypothesis needed for the associated function spaces to be
 well defined and discretizable. `counterexample_kernel` builds the truncated
 oscillating kernel showing the third Schur constant can blow up while the
-operator norm stays bounded.
+operator norm stays bounded. That kernel is a `SlabKernel`: it is built and
+reduced one block of its second target axis at a time, so its memory stays
+bounded by the slab budget of `operators` however large N is.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .coverings import RectCovering, covering_weights, maximal_kernel, validate_
 from .kernel_algebra import WeightGrid, mv_weight, norm_A, norm_B
 from .measure import ProductSpace, Space, counting_space
 from .mixed_norm import INF, GridFunction, mixed_norm
-from .operators import Kernel, opnorm_lower_search, schur_constants
+from .operators import Kernel, SlabKernel, opnorm_lower_search, schur_constants
 
 __all__ = [
     "FiniteFrame",
@@ -237,10 +239,17 @@ def counterexample_kernel(N: int, M: int, trials: int = 32, seed: int = 0):
     counting measure, where c_m = (1+|m|)^{-2/3}. The kernel is
     c_m * exp(-2*pi*i*m*x) on the doubly-truncated index set |m| <= min(|n|, |k|).
 
-    Diagnostics report the numerical Schur constants, the two analytic sums
-    they must match, a sampled lower bound for the (1, inf) operator norm,
-    and the square-summability upper bound sqrt(2*zeta(4/3) - 1) that caps it
-    for every N (the grid resolves all frequencies once M > 2N).
+    The kernel is returned as a `SlabKernel`: each block of target points k
+    is built as phase(x, m) * (c_m 1{|m| <= |k|} 1{|m| <= |n|}) when a
+    reduction asks for it, and the (M, 2N+1, 2N+1, 2N+1) array is never held.
+
+    Diagnostics report the numerical Schur constants (reductions over the
+    kernel entries), the two analytic sums they must match, a lower bound for
+    the (1, inf) operator norm, and the square-summability upper bound
+    sqrt(2*zeta(4/3) - 1) that caps it for every N (the grid resolves all
+    frequencies once M > 2N). The lower bound is the best ratio over point
+    masses and the constant function, followed by seeded random draws only
+    when `trials` exceeds (2N+1)^2 + 1.
     """
     if N < 1 or M < 2:
         raise ValueError("need N >= 1 and M >= 2")
@@ -259,13 +268,13 @@ def counterexample_kernel(N: int, M: int, trials: int = 32, seed: int = 0):
 
     phase = np.exp(-2j * np.pi * np.outer(xs, ks))  # (x, m)
     gate = (np.abs(ks)[:, None] >= np.abs(ks)[None, :]).astype(float)  # (n or k, m)
-    vals = (
-        cm[None, None, None, :]
-        * phase[:, None, None, :]
-        * gate[None, :, None, :]  # |m| <= |k|
-        * gate[None, None, :, :]  # |m| <= |n|
-    )
-    K = Kernel(X, Y, vals)
+    amp = cm * gate  # (n, m): c_m 1{|m| <= |n|}
+
+    def build_slab(sl):
+        # K[x, k, n, m] = phase[x, m] * c_m 1{|m| <= |k|} 1{|m| <= |n|} for k in sl
+        return phase[:, None, None, :] * (gate[sl, None, :] * amp)[None]
+
+    K = SlabKernel(X, Y, complex, build_slab)
 
     sc = schur_constants(K)
     diagnostics = {

@@ -14,7 +14,7 @@ import numpy as np
 
 from .measure import ProductSpace, Space, counting_space, singleton_space
 from .mixed_norm import GridFunction
-from .operators import Kernel
+from .operators import Kernel, _row_col_integrals
 
 __all__ = [
     "WeightGrid",
@@ -50,26 +50,37 @@ def _norm_a_matrix(A: np.ndarray, mx: np.ndarray, my: np.ndarray) -> float:
     return float(max(row, col))
 
 
-def _weighted_abs(K: Kernel, m: WeightGrid | None) -> np.ndarray:
-    A = np.abs(K.values)
-    if m is None:
-        return A
+def _check_weight(K: Kernel, m: WeightGrid) -> None:
     if not isinstance(m, WeightGrid):
         raise TypeError("weight must be a WeightGrid")
     if m.X != K.X or m.Y != K.Y:
         raise ValueError("weight grid does not match the kernel's spaces")
+
+
+def _weighted_abs(K: Kernel, m: WeightGrid | None) -> np.ndarray:
+    A = np.abs(K.values)
+    if m is None:
+        return A
+    _check_weight(K, m)
     return A * m.values
+
 
 def norm_A(K: Kernel, m: WeightGrid | None = None) -> float:
     """Plain kernel norm: larger of the best row and column integrals of |m*K|.
 
     The product structure is ignored; rows are integrated against the source
-    masses and columns against the target masses.
+    masses and columns against the target masses. The kernel is read in the
+    x2-slabs of `schur_constants`, with the same row and column integrals, so
+    unweighted `norm_A(K) == max(c1, c2)` exactly.
     """
-    A = _weighted_abs(K, m)
-    row = (A * K.Y.mass_grid).sum(axis=(2, 3)).max()
-    col = (A * K.X.mass_grid[:, :, None, None]).sum(axis=(0, 1)).max()
-    return float(max(row, col))
+    if m is not None:
+        _check_weight(K, m)
+    row = 0.0
+    col = np.zeros(K.Y.size)
+    for sl, vals in K.slabs():
+        A = np.abs(vals) if m is None else np.abs(vals) * m.values[:, sl]
+        row = max(row, _row_col_integrals(K, sl, A, col).max())
+    return float(max(row, col.max()))
 
 
 def norm_B(K: Kernel, m: WeightGrid | None = None) -> float:

@@ -7,6 +7,12 @@ exponent pairs the bounds are exact for nonnegative kernels, which
 `corner_opnorm` verifies by applying the kernel to extremal unit-ball
 vertices built in closed form. `VERTEX_CAP` bounds only the exhaustive
 vertex enumeration of `oracles.brute_corner_opnorm`.
+
+`schur_constants`, `apply_kernel` and `opnorm_lower_search` read a kernel
+one slab at a time, a slab being a block of the second target axis x2 whose
+values fit in `_SLAB_BYTES`. Every reduction over x1 finishes inside a slab;
+only sums over x2 are carried across slabs. A dense `Kernel` yields views of
+its array, a `SlabKernel` builds each slab when asked and is never held whole.
 """
 
 from __future__ import annotations
@@ -16,10 +22,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .measure import ProductSpace
-from .mixed_norm import INF, GridFunction, check_exponent, mixed_norm_values
+from .mixed_norm import INF, GridFunction, _stage, check_exponent, mixed_norm_values
 
 __all__ = [
     "Kernel",
+    "SlabKernel",
     "SchurConstants",
     "apply_kernel",
     "schur_constants",
@@ -31,6 +38,17 @@ __all__ = [
 ]
 
 VERTEX_CAP = 10**6  # most unit-ball vertices the brute-force oracle enumerates
+_SLAB_BYTES = 8 << 20  # largest block of kernel values reduced (or built) at once
+
+
+def _slab_slices(X: ProductSpace, Y: ProductSpace, itemsize: int) -> list[slice]:
+    """Blocks of the second target axis whose kernel values fit in `_SLAB_BYTES`.
+
+    A single x2 column larger than the budget still makes one slab.
+    """
+    n2 = X.factor2.size
+    width = max(1, _SLAB_BYTES // (X.factor1.size * Y.size * itemsize))
+    return [slice(s, min(s + width, n2)) for s in range(0, n2, width)]
 
 
 class Kernel:
@@ -68,8 +86,52 @@ class Kernel:
     def abs(self) -> "Kernel":
         return Kernel(self.X, self.Y, np.abs(self.values))
 
+    def slabs(self):
+        """Yield (x2 slice, values[:, x2 slice]) views within the slab budget."""
+        for sl in _slab_slices(self.X, self.Y, self.values.itemsize):
+            yield sl, self.values[:, sl]
+
     def __repr__(self) -> str:
         return f"Kernel(X={self.X.shape}, Y={self.Y.shape}, dtype={self.values.dtype})"
+
+
+class SlabKernel:
+    """A kernel built one x2-slab at a time and never held whole.
+
+    build_slab(sl) returns the values K[:, sl] of shape (|X1|, len(sl)) +
+    Y.shape for a slice sl of the second target axis; each slab is built
+    again whenever `slabs()` is iterated. `schur_constants`, `apply_kernel`,
+    `opnorm_lower_search` and `kernel_algebra.norm_A` accept it like a dense
+    `Kernel`.
+    """
+
+    __slots__ = ("X", "Y", "dtype", "_build_slab")
+
+    def __init__(self, X: ProductSpace, Y: ProductSpace, dtype, build_slab):
+        if not isinstance(X, ProductSpace) or not isinstance(Y, ProductSpace):
+            raise TypeError("Kernel endpoints must be ProductSpace instances")
+        self.X = X
+        self.Y = Y
+        self.dtype = np.dtype(complex if np.issubdtype(dtype, np.complexfloating) else float)
+        self._build_slab = build_slab
+
+    @property
+    def is_real(self) -> bool:
+        return self.dtype == np.float64
+
+    def slabs(self):
+        """Yield (x2 slice, values of that slab), each built on demand."""
+        for sl in _slab_slices(self.X, self.Y, self.dtype.itemsize):
+            vals = np.asarray(self._build_slab(sl))
+            expected = (self.X.factor1.size, sl.stop - sl.start) + self.Y.shape
+            if vals.shape != expected or vals.dtype != self.dtype:
+                raise ValueError(f"slab {vals.dtype}{vals.shape} does not match {self.dtype}{expected}")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("kernel values must be finite")
+            yield sl, vals
+
+    def __repr__(self) -> str:
+        return f"SlabKernel(X={self.X.shape}, Y={self.Y.shape}, dtype={self.dtype})"
 
 
 class SchurConstants(NamedTuple):
@@ -81,12 +143,29 @@ class SchurConstants(NamedTuple):
     c4: float
 
 
+def _apply_slab(vals: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Images of mass-weighted source data g (|Y|, ...) on one slab: (x1, x2 in slab, ...)."""
+    n1, w = vals.shape[:2]
+    return (vals.reshape(n1 * w, -1) @ g).reshape((n1, w) + g.shape[1:])
+
+
 def apply_kernel(K: Kernel, f: GridFunction) -> GridFunction:
     """Apply the integral operator of K to a function on its source space."""
     if f.space != K.Y:
         raise ValueError("function does not live on the kernel's source space")
-    out = K.values.reshape(K.X.size, K.Y.size) @ (f.values * K.Y.mass_grid).reshape(K.Y.size)
-    return GridFunction(K.X, out.reshape(K.X.shape))
+    g = (f.values * K.Y.mass_grid).reshape(K.Y.size)
+    out = np.concatenate([_apply_slab(vals, g) for _, vals in K.slabs()], axis=1)
+    return GridFunction(K.X, out)
+
+
+def _row_col_integrals(K, sl: slice, A: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Row integrals of a nonnegative slab A = |K|[:, sl]; adds its column integrals to col.
+
+    Each row is a pairwise sum of A * nu over the source, complete inside the
+    slab; the columns are xmass @ A on the slab's |X| x |Y| view.
+    """
+    col += K.X.mass_grid[:, sl].reshape(-1) @ A.reshape(-1, K.Y.size)
+    return (A * K.Y.mass_grid).sum(axis=(2, 3))
 
 
 def schur_constants(K: Kernel) -> SchurConstants:
@@ -97,23 +176,30 @@ def schur_constants(K: Kernel) -> SchurConstants:
     first factor, takes the sup over the source's first coordinate, and
     integrates the result over the source's second factor; C4 is the mirror
     with the roles of the two sides exchanged.
+
+    The kernel is read in x2-slabs: C1 and C3 finish inside a slab, C2's
+    column integrals are summed across slabs, and C4's per-(x2, y2) maxima
+    are gathered before the outer sum over x2.
     """
-    A = np.abs(K.values)
     mu1 = K.X.factor1.masses
     mu2 = K.X.factor2.masses
     nu1 = K.Y.factor1.masses
     nu2 = K.Y.factor2.masses
 
-    c1 = (A * K.Y.mass_grid).sum(axis=(2, 3)).max()
-    c2 = (A * K.X.mass_grid[:, :, None, None]).sum(axis=(0, 1)).max()
+    c1 = 0.0
+    col = np.zeros(K.Y.size)
+    c3 = np.empty(len(mu2))
+    max4 = np.empty((len(mu2), len(nu2)))  # max over x1 of sum_{y1} nu1 |K|, per (x2, y2)
+    for sl, vals in K.slabs():
+        A = np.abs(vals)
+        c1 = max(c1, _row_col_integrals(K, sl, A, col).max())
 
-    inner3 = (A * mu1[:, None, None, None]).sum(axis=0)  # (x2, y1, y2)
-    c3 = ((inner3.max(axis=1)) * nu2[None, :]).sum(axis=1).max()
+        inner3 = (A * mu1[:, None, None, None]).sum(axis=0)  # (x2, y1, y2)
+        c3[sl] = (inner3.max(axis=1) * nu2[None, :]).sum(axis=1)
+        max4[sl] = (A * nu1[None, None, :, None]).sum(axis=2).max(axis=0)
 
-    inner4 = (A * nu1[None, None, :, None]).sum(axis=2)  # (x1, x2, y2)
-    c4 = ((inner4.max(axis=0)) * mu2[:, None]).sum(axis=0).max()
-
-    return SchurConstants(float(c1), float(c2), float(c3), float(c4))
+    c4 = (max4 * mu2[:, None]).sum(axis=0).max()
+    return SchurConstants(float(c1), float(col.max()), float(c3.max()), float(c4))
 
 
 def schur_bound(c: SchurConstants, p, q) -> float:
@@ -211,27 +297,17 @@ def opnorm_lower_search(K: Kernel, p, q, trials: int = 64, seed: int = 0) -> flo
     starts with every point mass and the constant function (the corner
     extremizers), followed by seeded random draws — nonnegative for real
     kernels, complex Gaussian otherwise — up to `trials` functions in total.
+    All trials are applied in one pass over the kernel's x2-slabs.
     """
     p = check_exponent(p)
     q = check_exponent(q)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    Kv = K.values
     mu1 = K.X.factor1.masses
     mu2 = K.X.factor2.masses
     nu1 = K.Y.factor1.masses
     nu2 = K.Y.factor2.masses
     n1y, n2y = K.Y.shape
-
-    best = 0.0
-
-    # Point masses, evaluated in closed form: the image of a unit spike at
-    # (c, d) is the (c, d) column of K scaled by its source mass.
-    col_norms = mixed_norm_values(
-        np.moveaxis(np.abs(Kv) * K.Y.mass_grid, (2, 3), (0, 1)), mu1, mu2, p, q
-    )  # (y1, y2)
-    pm_norms = np.multiply.outer(nu1 ** (1.0 / p), nu2 ** (1.0 / q))
-    best = max(best, float((col_norms / pm_norms).max()))
 
     # Constant function plus the random tail.
     n_struct = n1y * n2y + 1
@@ -243,8 +319,22 @@ def opnorm_lower_search(K: Kernel, p, q, trials: int = 64, seed: int = 0) -> flo
         rand = rng.standard_normal((n_rand, n1y, n2y)) + 1j * rng.standard_normal((n_rand, n1y, n2y))
     ones = np.ones((1, n1y, n2y), dtype=rand.dtype)
     batch = np.concatenate([ones, rand], axis=0)
+    weighted = (batch * K.Y.mass_grid).reshape(len(batch), K.Y.size).T  # (|Y|, trial)
 
-    out = np.einsum("abcd,tcd->tab", Kv, batch * K.Y.mass_grid)
+    # Point masses, evaluated in closed form: the image of a unit spike at
+    # (c, d) is the (c, d) column of K scaled by its source mass. The inner
+    # stage over x1 finishes in each slab; the outer one runs over all x2.
+    col_inner = np.empty((n1y, n2y, len(mu2)))
+    images = []
+    for sl, vals in K.slabs():
+        cols = np.moveaxis(np.abs(vals) * K.Y.mass_grid, (2, 3), (0, 1))  # (y1, y2, x1, x2 in slab)
+        col_inner[..., sl] = _stage(cols, mu1[:, None], p, axis=-2)
+        images.append(_apply_slab(vals, weighted))
+    col_norms = _stage(col_inner, mu2, q, axis=-1)  # (y1, y2)
+    pm_norms = np.multiply.outer(nu1 ** (1.0 / p), nu2 ** (1.0 / q))
+    best = float((col_norms / pm_norms).max())
+
+    out = np.moveaxis(np.concatenate(images, axis=1), -1, 0)  # (trial, x1, x2)
     nums = mixed_norm_values(np.abs(out), mu1, mu2, p, q)
     dens = mixed_norm_values(np.abs(batch), nu1, nu2, p, q)
     ok = dens > 0

@@ -196,3 +196,38 @@ def test_counterexample_kernel_diagnostics():
         sk.counterexample_kernel(0, 64)
     with pytest.raises(ValueError):
         sk.counterexample_kernel(4, 1)
+
+
+def _dense_counterexample(N, M):
+    # the four-broadcast dense build of the kernel, kept as an independent oracle
+    xs = np.arange(M) / M
+    ks = np.arange(-N, N + 1)
+    cm = (1.0 + np.abs(ks)) ** (-2.0 / 3.0)
+    phase = np.exp(-2j * np.pi * np.outer(xs, ks))
+    gate = (np.abs(ks)[:, None] >= np.abs(ks)[None, :]).astype(float)
+    return (
+        cm[None, None, None, :]
+        * phase[:, None, None, :]
+        * gate[None, :, None, :]
+        * gate[None, None, :, :]
+    )
+
+
+@pytest.mark.parametrize("slab_bytes", [None, 40_000])
+@pytest.mark.parametrize("N, M", [(1, 2), (4, 16), (8, 64)])
+def test_counterexample_slabs_match_dense_build(N, M, slab_bytes, monkeypatch):
+    if slab_bytes is not None:
+        monkeypatch.setattr(sk.operators, "_SLAB_BYTES", slab_bytes)
+    K, d = sk.counterexample_kernel(N, M)
+    dense = _dense_counterexample(N, M)
+    assert K.X.shape == (M, 2 * N + 1) and K.Y.shape == (2 * N + 1, 2 * N + 1)
+    slabs = list(K.slabs())
+    if slab_bytes is not None and N == 8:
+        assert len(slabs) > 1
+    np.testing.assert_array_equal(np.concatenate([v for _, v in slabs], axis=1), dense)
+
+    D = sk.Kernel(K.X, K.Y, dense)
+    c = sk.schur_constants(D)
+    assert (d["c1"], d["c3"], d["c4"]) == (c.c1, c.c3, c.c4)
+    assert d["c2"] == pytest.approx(c.c2, rel=1e-13)
+    assert d["corner_1inf_lower"] == sk.opnorm_lower_search(D, 1, sk.INF, trials=32, seed=0)

@@ -262,3 +262,91 @@ def test_kernel_validation():
     K = sk.Kernel(X, X, -np.ones((2, 2, 2, 2)))
     assert K.is_real and not K.is_nonnegative
     assert K.abs().is_nonnegative
+
+
+def _schur_reference(vals, X, Y):
+    # one-shot 4-D reductions over the whole kernel
+    A = np.abs(vals)
+    mu1, mu2 = X.factor1.masses, X.factor2.masses
+    nu1, nu2 = Y.factor1.masses, Y.factor2.masses
+    c1 = (A * Y.mass_grid).sum(axis=(2, 3)).max()
+    c2 = (A * X.mass_grid[:, :, None, None]).sum(axis=(0, 1)).max()
+    c3 = (np.einsum("a,abcd->bcd", mu1, A).max(axis=1) @ nu2).max()
+    c4 = (mu2 @ np.einsum("c,abcd->abd", nu1, A).max(axis=0)).max()
+    return c1, c2, c3, c4
+
+
+def _lower_search_reference(vals, X, Y, p, q, trials, seed):
+    # point masses, the constant and the seeded random tail, all applied at once
+    n1y, n2y = Y.shape
+    mu1, mu2 = X.factor1.masses, X.factor2.masses
+    nu1, nu2 = Y.factor1.masses, Y.factor2.masses
+    best = 0.0
+    for c in range(n1y):
+        for d in range(n2y):
+            image = sk.GridFunction(X, vals[:, :, c, d] * Y.mass_grid[c, d])
+            best = max(best, sk.mixed_norm(image, p, q) / (nu1[c] ** (1 / p) * nu2[d] ** (1 / q)))
+    rng = np.random.default_rng(seed)
+    n_rand = max(0, trials - n1y * n2y - 1)
+    if np.iscomplexobj(vals):
+        rand = rng.standard_normal((n_rand, n1y, n2y)) + 1j * rng.standard_normal((n_rand, n1y, n2y))
+    else:
+        rand = rng.random((n_rand, n1y, n2y))
+    for f in [np.ones((n1y, n2y)), *rand]:
+        image = np.einsum("abcd,cd->ab", vals, f * Y.mass_grid)
+        best = max(best, sk.mixed_norm(sk.GridFunction(X, image), p, q) / sk.mixed_norm(sk.GridFunction(Y, f), p, q))
+    return best
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_slabbed_kernel_matches_one_shot_references(complex_values, monkeypatch):
+    rng = np.random.default_rng(20)
+    X = sk.ProductSpace(rand_space(rng, 5), rand_space(rng, 6))
+    Y = sk.ProductSpace(rand_space(rng, 4), rand_space(rng, 3))
+    K = rand_kernel(rng, X, Y, complex_values=complex_values)
+    f = rand_function(rng, Y, complex_values=True)
+    # two x2 columns of real values per slab: 3 slabs real, 6 complex
+    monkeypatch.setattr(sk.operators, "_SLAB_BYTES", 2 * 5 * 12 * 8)
+    lazy = sk.SlabKernel(X, Y, K.values.dtype, lambda sl: K.values[:, sl])
+    for kernel in (K, lazy):
+        slabs = list(kernel.slabs())
+        assert len(slabs) >= 3
+        np.testing.assert_array_equal(np.concatenate([v for _, v in slabs], axis=1), K.values)
+
+        np.testing.assert_allclose(sk.schur_constants(kernel), _schur_reference(K.values, X, Y), rtol=1e-13)
+        expect = np.einsum("abcd,cd->ab", K.values, f.values * Y.mass_grid)
+        np.testing.assert_allclose(sk.apply_kernel(kernel, f).values, expect, rtol=1e-13, atol=1e-15)
+        for p, q, trials in [(1, INF, 8), (2, 3, 30), (INF, 1.5, 1)]:
+            got = sk.opnorm_lower_search(kernel, p, q, trials=trials, seed=5)
+            ref = _lower_search_reference(K.values, X, Y, p, q, trials, 5)
+            assert got == pytest.approx(ref, rel=1e-13)
+
+
+def test_slab_kernel_validates_its_slabs():
+    X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(3))
+    Y = sk.ProductSpace(sk.counting_space(2), sk.counting_space(2))
+    good = sk.SlabKernel(X, Y, float, lambda sl: np.ones((2, sl.stop - sl.start, 2, 2)))
+    assert good.is_real and sk.schur_constants(good) == (4.0, 6.0, 4.0, 6.0)
+    assert not sk.SlabKernel(X, Y, complex, None).is_real
+    for build in (
+        lambda sl: np.ones((2, 1, 2, 2)),  # one x2 column for a three-column slab
+        lambda sl: np.ones((2, sl.stop - sl.start, 2, 2), dtype=complex),  # wrong dtype
+        lambda sl: np.full((2, sl.stop - sl.start, 2, 2), np.inf),  # not finite
+    ):
+        with pytest.raises(ValueError):
+            sk.schur_constants(sk.SlabKernel(X, Y, float, build))
+    with pytest.raises(TypeError):
+        sk.SlabKernel(X.factor1, Y, float, None)
+
+
+def test_counterexample_memory_is_slab_bounded():
+    import tracemalloc
+
+    # the dense (M, 2N+1, 2N+1, 2N+1) complex build peaked near 848 MB here
+    tracemalloc.start()
+    try:
+        sk.counterexample_kernel(32, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -24,6 +24,22 @@ def test_norm_a_frozen():
     assert sk.norm_A(sk.Kernel(X, X, np.zeros((2, 2, 2, 2)))) == 0.0
 
 
+@pytest.mark.parametrize("slab_bytes", [None, 200])
+def test_norm_a_matches_dense_integrals_and_schur_constants(slab_bytes, monkeypatch):
+    if slab_bytes is not None:
+        monkeypatch.setattr(sk.operators, "_SLAB_BYTES", slab_bytes)
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        K = rand_kernel(rng, rand_product(rng, 4), rand_product(rng, 4), complex_values=bool(rng.integers(2)))
+        m = rand_weight_grid(rng, K.X, K.Y)
+        c = sk.schur_constants(K)
+        assert sk.norm_A(K) == max(c.c1, c.c2)
+        A = np.abs(K.values) * m.values
+        row = (A * K.Y.mass_grid).sum(axis=(2, 3)).max()
+        col = (A * K.X.mass_grid[:, :, None, None]).sum(axis=(0, 1)).max()
+        assert sk.norm_A(K, m) == pytest.approx(max(row, col), rel=1e-13)
+
+
 def test_norm_b_collapses_on_lifted_kernels():
     rng = np.random.default_rng(1)
     for _ in range(15):
