@@ -61,6 +61,7 @@ from .operators import (
     opnorm_lower_search,
     schur_bound,
     schur_constants,
+    schur_scan,
     weighted_kernel,
 )
 from .oracles import brute_corner_opnorm, brute_rho, brute_sum_norm_upper
@@ -102,6 +103,7 @@ __all__ = [
     "SchurConstants",
     "apply_kernel",
     "schur_constants",
+    "schur_scan",
     "schur_bound",
     "weighted_kernel",
     "corner_opnorm",

@@ -38,9 +38,9 @@ from .jsonio import (
 )
 from .kernel_algebra import WeightGrid, compose, norm_A, norm_B, submult_weight_constant
 from .mixed_norm import INF, GridFunction, check_exponent, mixed_norm
-from .operators import corner_opnorm, opnorm_lower_search, schur_bound, schur_constants
+from .operators import corner_opnorm, schur_bound, schur_scan
 from .oracles import brute_sum_norm_upper
-from .sum_space import associate_pairing_sup, intersection_norm, rho_tensor, split_four
+from .sum_space import associate_pairing_sup, intersection_norm, split_four
 
 __all__ = ["run", "main"]
 
@@ -156,9 +156,8 @@ def _cmd_schur(args):
     K = inputs.load("kernel", args.kernel, load_kernel)
     p = _exponent(args.p)
     q = _exponent(args.q)
-    c = schur_constants(K)
+    c, lower = schur_scan(K, p, q, trials=args.trials, seed=args.seed)
     bound = schur_bound(c, p, q)
-    lower = opnorm_lower_search(K, p, q, trials=args.trials, seed=args.seed)
     quantities = {
         "c1": c.c1,
         "c2": c.c2,
@@ -212,8 +211,8 @@ def _cmd_compose(args):
 def _cmd_sumnorm(args):
     inputs = _Inputs()
     F = inputs.load("function", args.function, load_grid_function)
-    rt = rho_tensor(F.abs())
     split = split_four(F)
+    rt = split.alpha  # rho_tensor(|F|): the same slicewise profile and final rho
     part_norms = split.corner_norms()
     norm_sum = float(sum(part_norms))
     pairing = associate_pairing_sup(F, trials=args.trials, seed=args.seed)

@@ -13,6 +13,10 @@ one slab at a time, a slab being a block of the second target axis x2 whose
 values fit in `_SLAB_BYTES`. Every reduction over x1 finishes inside a slab;
 only sums over x2 are carried across slabs. A dense `Kernel` yields views of
 its array, a `SlabKernel` builds each slab when asked and is never held whole.
+`schur_scan` computes the Schur constants and the seeded lower bound in one
+pass: each slab is read once and its modulus taken once, and the
+mass-weighted sums over it are matrix contractions (gemv and a batched
+matmul) rather than broadcast products of the slab's full shape.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .measure import ProductSpace
-from .mixed_norm import INF, GridFunction, _stage, check_exponent, mixed_norm_values
+from .mixed_norm import INF, GridFunction, check_exponent, mixed_norm_values
 
 __all__ = [
     "Kernel",
@@ -30,6 +34,7 @@ __all__ = [
     "SchurConstants",
     "apply_kernel",
     "schur_constants",
+    "schur_scan",
     "schur_bound",
     "weighted_kernel",
     "corner_opnorm",
@@ -161,11 +166,107 @@ def apply_kernel(K: Kernel, f: GridFunction) -> GridFunction:
 def _row_col_integrals(K, sl: slice, A: np.ndarray, col: np.ndarray) -> np.ndarray:
     """Row integrals of a nonnegative slab A = |K|[:, sl]; adds its column integrals to col.
 
-    Each row is a pairwise sum of A * nu over the source, complete inside the
-    slab; the columns are xmass @ A on the slab's |X| x |Y| view.
+    Both are contractions of the slab's |X| x |Y| view: the rows are A2 @ nu,
+    the columns xmass @ A2.
     """
-    col += K.X.mass_grid[:, sl].reshape(-1) @ A.reshape(-1, K.Y.size)
-    return (A * K.Y.mass_grid).sum(axis=(2, 3))
+    A2 = A.reshape(-1, K.Y.size)
+    col += K.X.mass_grid[:, sl].reshape(-1) @ A2
+    return A2 @ K.Y.mass_grid.reshape(-1)
+
+
+def _lead_norms(V: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
+    """L^p(m) norms of nonnegative V along its leading axis, as a contraction for p < inf."""
+    V2 = V.reshape(len(m), -1)
+    if p == INF:
+        out = V2.max(axis=0)
+    elif p == 1.0:
+        out = m @ V2
+    else:
+        out = (m @ V2**p) ** (1.0 / p)
+    return out.reshape(V.shape[1:])
+
+
+class _Trials(NamedTuple):
+    """The seeded lower search's exponents and its constant-plus-random trial functions."""
+
+    p: float
+    q: float
+    batch: np.ndarray  # (trial, y1, y2)
+    weighted: np.ndarray  # (|Y|, trial): the trials times the source masses
+
+
+def _draw_trials(K, p, q, trials: int, seed: int) -> _Trials:
+    p = check_exponent(p)
+    q = check_exponent(q)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    n1y, n2y = K.Y.shape
+    # the point masses come first in the trial set; constant and random tail follow
+    n_rand = max(0, trials - (n1y * n2y + 1))
+    rng = np.random.default_rng(seed)
+    if K.is_real:
+        rand = rng.random((n_rand, n1y, n2y))
+    else:
+        rand = rng.standard_normal((n_rand, n1y, n2y)) + 1j * rng.standard_normal((n_rand, n1y, n2y))
+    ones = np.ones((1, n1y, n2y), dtype=rand.dtype)
+    batch = np.concatenate([ones, rand], axis=0)
+    weighted = (batch * K.Y.mass_grid).reshape(len(batch), K.Y.size).T
+    return _Trials(p, q, batch, weighted)
+
+
+def _scan(K, trials: _Trials | None) -> tuple[SchurConstants, float | None]:
+    """The Schur constants, and the lower search over `trials` if given, from one read per slab.
+
+    Each slab is read once and its modulus A = |K|[:, x2 slab] taken once.
+    Everything summed over x1 or over the source finishes inside the slab,
+    as contractions of A: rows A2 @ nu and columns xmass @ A2 on its
+    |X| x |Y| view (C1, C2), mu1 @ A over x1 (C3, and the point masses at
+    p = 1), and sum_{y1} nu1 A as a batched matmul (C4). Only per-x2 results
+    are carried across slabs; the outer sums over x2 or y2 are gemv.
+
+    The lower search takes the point masses in closed form: the image of a
+    unit spike at (c, d) is the (c, d) column of K times nu(c, d), so its
+    norm is nu(c, d) times the mixed norm of |K|[..., c, d]. The constant and
+    random trials are applied to each slab as one matmul.
+    """
+    mu1 = K.X.factor1.masses
+    mu2 = K.X.factor2.masses
+    nu1 = K.Y.factor1.masses
+    nu2 = K.Y.factor2.masses
+    n1 = len(mu1)
+    n1y, n2y = K.Y.shape
+
+    c1 = 0.0
+    col = np.zeros(K.Y.size)
+    c3 = np.empty(len(mu2))
+    max4 = np.empty((len(mu2), n2y))  # max over x1 of sum_{y1} nu1 |K|, per (x2, y2)
+    if trials is not None:
+        col_inner = np.empty((len(mu2), n1y, n2y))  # x1-norm of each point-mass column
+        img_inner = np.empty((len(mu2), len(trials.batch)))  # x1-norm of each trial image
+    for sl, vals in K.slabs():
+        A = np.abs(vals)
+        w = A.shape[1]
+        c1 = max(c1, _row_col_integrals(K, sl, A, col).max())
+        s1 = _lead_norms(A, mu1, 1.0)  # (x2, y1, y2): sum_{x1} mu1 |K|
+        c3[sl] = s1.max(axis=1) @ nu2
+        max4[sl] = (nu1 @ A.reshape(n1 * w, n1y, n2y)).reshape(n1, w, n2y).max(axis=0)
+        if trials is not None:
+            col_inner[sl] = s1 if trials.p == 1.0 else _lead_norms(A, mu1, trials.p)
+            img_inner[sl] = _lead_norms(np.abs(_apply_slab(vals, trials.weighted)), mu1, trials.p)
+    constants = SchurConstants(float(c1), float(col.max()), float(c3.max()), float((mu2 @ max4).max()))
+    if trials is None:
+        return constants, None
+
+    p, q = trials.p, trials.q
+    col_norms = _lead_norms(col_inner, mu2, q) * K.Y.mass_grid  # (y1, y2)
+    pm_norms = np.multiply.outer(nu1 ** (1.0 / p), nu2 ** (1.0 / q))
+    best = float((col_norms / pm_norms).max())
+    nums = _lead_norms(img_inner, mu2, q)
+    dens = mixed_norm_values(np.abs(trials.batch), nu1, nu2, p, q)
+    ok = dens > 0
+    if np.any(ok):
+        best = max(best, float((nums[ok] / dens[ok]).max()))
+    return constants, best
 
 
 def schur_constants(K: Kernel) -> SchurConstants:
@@ -177,29 +278,25 @@ def schur_constants(K: Kernel) -> SchurConstants:
     integrates the result over the source's second factor; C4 is the mirror
     with the roles of the two sides exchanged.
 
-    The kernel is read in x2-slabs: C1 and C3 finish inside a slab, C2's
-    column integrals are summed across slabs, and C4's per-(x2, y2) maxima
-    are gathered before the outer sum over x2.
+    The kernel is read once, in x2-slabs, with one modulus A per slab, and
+    the mass-weighted sums are contractions of A: row integrals A2 @ nu and
+    column integrals xmass @ A2 on its |X| x |Y| view A2, C3's inner sum
+    mu1 @ A over x1, and C4's sum over y1 as a batched matmul. C1 and C3
+    finish inside a slab, C2's column integrals are summed across slabs,
+    and C4's per-(x2, y2) maxima are gathered before the outer sum over x2.
     """
-    mu1 = K.X.factor1.masses
-    mu2 = K.X.factor2.masses
-    nu1 = K.Y.factor1.masses
-    nu2 = K.Y.factor2.masses
+    return _scan(K, None)[0]
 
-    c1 = 0.0
-    col = np.zeros(K.Y.size)
-    c3 = np.empty(len(mu2))
-    max4 = np.empty((len(mu2), len(nu2)))  # max over x1 of sum_{y1} nu1 |K|, per (x2, y2)
-    for sl, vals in K.slabs():
-        A = np.abs(vals)
-        c1 = max(c1, _row_col_integrals(K, sl, A, col).max())
 
-        inner3 = (A * mu1[:, None, None, None]).sum(axis=0)  # (x2, y1, y2)
-        c3[sl] = (inner3.max(axis=1) * nu2[None, :]).sum(axis=1)
-        max4[sl] = (A * nu1[None, None, :, None]).sum(axis=2).max(axis=0)
+def schur_scan(K: Kernel, p, q, trials: int = 64, seed: int = 0) -> tuple[SchurConstants, float]:
+    """The Schur constants and `opnorm_lower_search(K, p, q, trials, seed)` from one pass.
 
-    c4 = (max4 * mu2[:, None]).sum(axis=0).max()
-    return SchurConstants(float(c1), float(col.max()), float(c3.max()), float(c4))
+    Reads each x2-slab of the kernel once and takes its modulus once, where
+    calling `schur_constants` and `opnorm_lower_search` in turn would read
+    (and, for a `SlabKernel`, build) every slab twice. Both functions run
+    this same per-slab code, so the values are theirs.
+    """
+    return _scan(K, _draw_trials(K, p, q, trials, seed))
 
 
 def schur_bound(c: SchurConstants, p, q) -> float:
@@ -297,47 +394,8 @@ def opnorm_lower_search(K: Kernel, p, q, trials: int = 64, seed: int = 0) -> flo
     starts with every point mass and the constant function (the corner
     extremizers), followed by seeded random draws — nonnegative for real
     kernels, complex Gaussian otherwise — up to `trials` functions in total.
-    All trials are applied in one pass over the kernel's x2-slabs.
+    It runs in the single pass of `schur_scan`: each x2-slab is read once,
+    the point masses come from its modulus in closed form, and all other
+    trials are applied to it as one matmul.
     """
-    p = check_exponent(p)
-    q = check_exponent(q)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    mu1 = K.X.factor1.masses
-    mu2 = K.X.factor2.masses
-    nu1 = K.Y.factor1.masses
-    nu2 = K.Y.factor2.masses
-    n1y, n2y = K.Y.shape
-
-    # Constant function plus the random tail.
-    n_struct = n1y * n2y + 1
-    n_rand = max(0, trials - n_struct)
-    rng = np.random.default_rng(seed)
-    if K.is_real:
-        rand = rng.random((n_rand, n1y, n2y))
-    else:
-        rand = rng.standard_normal((n_rand, n1y, n2y)) + 1j * rng.standard_normal((n_rand, n1y, n2y))
-    ones = np.ones((1, n1y, n2y), dtype=rand.dtype)
-    batch = np.concatenate([ones, rand], axis=0)
-    weighted = (batch * K.Y.mass_grid).reshape(len(batch), K.Y.size).T  # (|Y|, trial)
-
-    # Point masses, evaluated in closed form: the image of a unit spike at
-    # (c, d) is the (c, d) column of K scaled by its source mass. The inner
-    # stage over x1 finishes in each slab; the outer one runs over all x2.
-    col_inner = np.empty((n1y, n2y, len(mu2)))
-    images = []
-    for sl, vals in K.slabs():
-        cols = np.moveaxis(np.abs(vals) * K.Y.mass_grid, (2, 3), (0, 1))  # (y1, y2, x1, x2 in slab)
-        col_inner[..., sl] = _stage(cols, mu1[:, None], p, axis=-2)
-        images.append(_apply_slab(vals, weighted))
-    col_norms = _stage(col_inner, mu2, q, axis=-1)  # (y1, y2)
-    pm_norms = np.multiply.outer(nu1 ** (1.0 / p), nu2 ** (1.0 / q))
-    best = float((col_norms / pm_norms).max())
-
-    out = np.moveaxis(np.concatenate(images, axis=1), -1, 0)  # (trial, x1, x2)
-    nums = mixed_norm_values(np.abs(out), mu1, mu2, p, q)
-    dens = mixed_norm_values(np.abs(batch), nu1, nu2, p, q)
-    ok = dens > 0
-    if np.any(ok):
-        best = max(best, float((nums[ok] / dens[ok]).max()))
-    return best
+    return schur_scan(K, p, q, trials, seed)[1]

@@ -112,6 +112,16 @@ def test_sumnorm_point_indicator(tmp_path, capsys):
         assert _check(cert, f"part{i}_L{pq}_le_4_rho_tensor")["pass"]
 
 
+def test_sumnorm_rho_tensor_is_the_library_value(tmp_path, capsys):
+    rng = np.random.default_rng(9)
+    X = sk.ProductSpace(sk.Space(range(5), 0.3 + rng.random(5)), sk.Space(range(4), 0.3 + rng.random(4)))
+    F = sk.GridFunction(X, rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)))
+    ffile = _write(tmp_path / "f.json", dump_grid_function(F))
+    code, cert, _ = _run(capsys, ["sumnorm", "--function", ffile])
+    assert code == 0
+    assert cert["quantities"]["rho_tensor"] == sk.rho_tensor(F.abs())
+
+
 def test_covering_admissible_path(tmp_path, capsys):
     X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(2))
     K = sk.Kernel(X, X, np.arange(16, dtype=float).reshape(2, 2, 2, 2))
@@ -224,6 +234,13 @@ def test_python_dash_m_missing_file_exits_2(tmp_path, module):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath is needed only by the counterexample's closed-form cap
+    script = "import sys, schurkit.cli; sys.exit(3 if 'mpmath' in sys.modules else 0)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _as_lists(obj):

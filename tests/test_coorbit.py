@@ -231,3 +231,22 @@ def test_counterexample_slabs_match_dense_build(N, M, slab_bytes, monkeypatch):
     assert (d["c1"], d["c3"], d["c4"]) == (c.c1, c.c3, c.c4)
     assert d["c2"] == pytest.approx(c.c2, rel=1e-13)
     assert d["corner_1inf_lower"] == sk.opnorm_lower_search(D, 1, sk.INF, trials=32, seed=0)
+
+
+def test_counterexample_builds_each_slab_once(monkeypatch):
+    monkeypatch.setattr(sk.operators, "_SLAB_BYTES", 40_000)
+    built = []
+
+    class CountingSlabKernel(sk.SlabKernel):
+        def __init__(self, X, Y, dtype, build_slab):
+            def counted(sl):
+                built.append((sl.start, sl.stop))
+                return build_slab(sl)
+
+            super().__init__(X, Y, dtype, counted)
+
+    monkeypatch.setattr(sk.coorbit, "SlabKernel", CountingSlabKernel)
+    K, _ = sk.counterexample_kernel(8, 64)
+    slabs = [(sl.start, sl.stop) for sl in sk.operators._slab_slices(K.X, K.Y, 16)]
+    assert len(slabs) >= 3
+    assert built == slabs

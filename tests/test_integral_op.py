@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import schurkit as sk
+from schurkit import cli
+from schurkit.jsonio import dump_kernel, dumps_json, load_kernel
 
 from conftest import (
     EXPONENT_GRID,
@@ -320,6 +324,98 @@ def test_slabbed_kernel_matches_one_shot_references(complex_values, monkeypatch)
             got = sk.opnorm_lower_search(kernel, p, q, trials=trials, seed=5)
             ref = _lower_search_reference(K.values, X, Y, p, q, trials, 5)
             assert got == pytest.approx(ref, rel=1e-13)
+
+
+def _two_pass_reference(K, p, q, trials, seed):
+    # the two slab loops schur_constants and opnorm_lower_search ran before they
+    # shared one pass, with broadcast-multiply-sum reductions over each slab
+    from schurkit.mixed_norm import _stage, mixed_norm_values
+
+    mu1, mu2 = K.X.factor1.masses, K.X.factor2.masses
+    nu1, nu2 = K.Y.factor1.masses, K.Y.factor2.masses
+    n1y, n2y = K.Y.shape
+
+    c1 = 0.0
+    col = np.zeros(K.Y.size)
+    c3 = np.empty(len(mu2))
+    max4 = np.empty((len(mu2), n2y))
+    for sl, vals in K.slabs():
+        A = np.abs(vals)
+        col += K.X.mass_grid[:, sl].reshape(-1) @ A.reshape(-1, K.Y.size)
+        c1 = max(c1, (A * K.Y.mass_grid).sum(axis=(2, 3)).max())
+        inner3 = (A * mu1[:, None, None, None]).sum(axis=0)
+        c3[sl] = (inner3.max(axis=1) * nu2[None, :]).sum(axis=1)
+        max4[sl] = (A * nu1[None, None, :, None]).sum(axis=2).max(axis=0)
+    c4 = (max4 * mu2[:, None]).sum(axis=0).max()
+    constants = (c1, col.max(), c3.max(), c4)
+
+    n_rand = max(0, trials - n1y * n2y - 1)
+    rng = np.random.default_rng(seed)
+    if K.is_real:
+        rand = rng.random((n_rand, n1y, n2y))
+    else:
+        rand = rng.standard_normal((n_rand, n1y, n2y)) + 1j * rng.standard_normal((n_rand, n1y, n2y))
+    batch = np.concatenate([np.ones((1, n1y, n2y), dtype=rand.dtype), rand], axis=0)
+    weighted = (batch * K.Y.mass_grid).reshape(len(batch), K.Y.size).T
+    col_inner = np.empty((n1y, n2y, len(mu2)))
+    images = []
+    for sl, vals in K.slabs():
+        cols = np.moveaxis(np.abs(vals) * K.Y.mass_grid, (2, 3), (0, 1))
+        col_inner[..., sl] = _stage(cols, mu1[:, None], p, axis=-2)
+        n1, w = vals.shape[:2]
+        images.append((vals.reshape(n1 * w, -1) @ weighted).reshape(n1, w, -1))
+    col_norms = _stage(col_inner, mu2, q, axis=-1)
+    best = (col_norms / np.multiply.outer(nu1 ** (1.0 / p), nu2 ** (1.0 / q))).max()
+    out = np.moveaxis(np.concatenate(images, axis=1), -1, 0)
+    nums = mixed_norm_values(np.abs(out), mu1, mu2, p, q)
+    dens = mixed_norm_values(np.abs(batch), nu1, nu2, p, q)
+    return constants, max(best, (nums / dens).max())
+
+
+@pytest.mark.parametrize("slab_bytes", [None, 2 * 5 * 12 * 8])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_one_pass_matches_two_pass_reference(complex_values, slab_bytes, monkeypatch):
+    rng = np.random.default_rng(21)
+    X = sk.ProductSpace(rand_space(rng, 5), rand_space(rng, 6))
+    Y = sk.ProductSpace(rand_space(rng, 4), rand_space(rng, 3))
+    K = rand_kernel(rng, X, Y, complex_values=complex_values)
+    if slab_bytes is not None:  # two real x2 columns per slab: 3 slabs real, 6 complex
+        monkeypatch.setattr(sk.operators, "_SLAB_BYTES", slab_bytes)
+    lazy = sk.SlabKernel(X, Y, K.values.dtype, lambda sl: K.values[:, sl])
+    for kernel in (K, lazy):
+        assert len(list(kernel.slabs())) >= (1 if slab_bytes is None else 3)
+        for p, q in [(1, INF), (INF, 1), (2, 3), (2, 2)]:
+            constants, lower = _two_pass_reference(kernel, float(p), float(q), trials=40, seed=7)
+            np.testing.assert_allclose(sk.schur_constants(kernel), constants, rtol=1e-13)
+            got_c, got_lower = sk.schur_scan(kernel, p, q, trials=40, seed=7)
+            np.testing.assert_allclose(got_c, constants, rtol=1e-13)
+            assert got_lower == pytest.approx(lower, rel=1e-13)
+            assert sk.opnorm_lower_search(kernel, p, q, trials=40, seed=7) == got_lower
+
+
+def test_schur_certificate_builds_each_slab_once(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(22)
+    X = sk.ProductSpace(rand_space(rng, 5), rand_space(rng, 6))
+    Y = sk.ProductSpace(rand_space(rng, 4), rand_space(rng, 3))
+    K = rand_kernel(rng, X, Y, complex_values=True)
+    kfile = tmp_path / "k.json"
+    kfile.write_text(dumps_json(dump_kernel(K)))
+    monkeypatch.setattr(sk.operators, "_SLAB_BYTES", 2 * 5 * 12 * 16)
+    built = []
+
+    def load_counting(obj):
+        dense = load_kernel(obj)
+
+        def build(sl):
+            built.append((sl.start, sl.stop))
+            return dense.values[:, sl]
+
+        return sk.SlabKernel(dense.X, dense.Y, dense.values.dtype, build)
+
+    monkeypatch.setattr(cli, "load_kernel", load_counting)
+    assert cli.run(["schur", "--kernel", str(kfile), "--p", "2", "--q", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["quantities"]["c1"] == sk.schur_constants(K).c1
+    assert built == [(0, 2), (2, 4), (4, 6)]
 
 
 def test_slab_kernel_validates_its_slabs():
