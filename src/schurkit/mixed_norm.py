@@ -119,7 +119,15 @@ def _stage(vals: np.ndarray, masses: np.ndarray, p: float, axis: int) -> np.ndar
         return vals.max(axis=axis)
     if p == 1.0:
         return (vals * masses).sum(axis=axis)
-    return ((vals**p) * masses).sum(axis=axis) ** (1.0 / p)
+    # Max-scaled power sum (Blue, ACM TOMS 1978): (sum (v/M)^p m)^(1/p) * M,
+    # so v^p neither overflows for large v or p nor underflows for small v.
+    # M = 1 on all-zero slices; slices holding inf give inf.
+    top = vals.max(axis=axis, keepdims=True)
+    scale = np.where(top > 0.0, top, 1.0)
+    with np.errstate(invalid="ignore"):  # inf / inf in slices that give inf anyway
+        scaled = (((vals / scale) ** p) * masses).sum(axis=axis) ** (1.0 / p)
+    scale = np.squeeze(scale, axis=axis)
+    return np.where(np.isinf(scale), INF, scaled * scale)
 
 
 def mixed_norm_values(g: np.ndarray, m1: np.ndarray, m2: np.ndarray, p: float, q: float) -> np.ndarray:

@@ -57,17 +57,23 @@ class FactorFunction:
         return f"FactorFunction(size={self.space.size})"
 
 
-def _rho_array(vals: np.ndarray, masses: np.ndarray) -> float:
-    """Exact rho of a nonnegative vector against positive masses.
+def _rho_rows(vals: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Exact rho of each nonnegative row of vals (along the last axis).
 
     min over lambda >= 0 of lambda + sum((vals - lambda)_+ * masses) is the
     integral of the decreasing rearrangement over [0, 1], i.e. the pay-off
     of the greedy budget: sum(v * clip(1 - mass before v, 0, m)) along
-    descending values. One sort and one cumsum: O(n log n) time, O(n) memory.
+    descending values. One sort and one cumsum per row: O(n log n) time,
+    O(n) memory per row. Rows holding inf give inf.
     """
-    if np.any(np.isinf(vals)):
-        return math.inf
-    return float((vals * _greedy_budget(vals, masses) * masses).sum())
+    with np.errstate(invalid="ignore"):  # inf * 0 in rows that give inf anyway
+        payoff = (vals * _greedy_budget(vals, masses) * masses).sum(axis=-1)
+    return np.where(np.isinf(vals).any(axis=-1), math.inf, payoff)
+
+
+def _rho_array(vals: np.ndarray, masses: np.ndarray) -> float:
+    """Exact rho of a nonnegative vector against positive masses."""
+    return float(_rho_rows(vals, masses))
 
 
 def rho(f: FactorFunction) -> float:
@@ -95,8 +101,12 @@ def _check_nonneg(F: GridFunction) -> np.ndarray:
 
 
 def _slice_profile(vals: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """rho of each second-coordinate slice: profile[j] = rho(vals[:, j])."""
-    return np.array([_rho_array(vals[:, j], m1) for j in range(vals.shape[1])])
+    """rho of each second-coordinate slice: profile[j] = rho(vals[:, j]).
+
+    One row-wise pass over the contiguous transpose, so each slice is
+    reduced exactly as a 1-D vector would be.
+    """
+    return _rho_rows(np.ascontiguousarray(vals.T), m1)
 
 
 def rho_tensor(F: GridFunction) -> float:
@@ -186,16 +196,17 @@ def rectangle_lower_bound(space: ProductSpace, V, W) -> float:
 def _greedy_budget(vals: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """[0,1]-valued u with integral <= 1 maximizing sum(vals * u * masses).
 
-    Fills mass greedily along descending values, going fractional exactly at
-    the point where the cumulative mass crosses 1; the attained pay-off is
-    rho(vals) (the integral of the decreasing rearrangement over [0, 1]).
+    Works on each row of vals (along the last axis). Fills mass greedily
+    along descending values, going fractional exactly at the point where the
+    cumulative mass crosses 1; the attained pay-off is rho(vals) (the
+    integral of the decreasing rearrangement over [0, 1]).
     """
-    order = np.argsort(-vals, kind="stable")
+    order = np.argsort(-vals, axis=-1, kind="stable")
     m_sorted = masses[order]
-    remaining = 1.0 - (np.cumsum(m_sorted) - m_sorted)
+    remaining = 1.0 - (np.cumsum(m_sorted, axis=-1) - m_sorted)
     u_sorted = np.clip(remaining / m_sorted, 0.0, 1.0)
     u = np.empty_like(u_sorted)
-    u[order] = u_sorted
+    np.put_along_axis(u, order, u_sorted, axis=-1)
     return u
 
 
@@ -208,8 +219,7 @@ def _greedy_pairing_partner(absF: np.ndarray, space: ProductSpace) -> np.ndarray
     """
     m1 = space.factor1.masses
     m2 = space.factor2.masses
-    cols = [_greedy_budget(absF[:, j], m1) for j in range(absF.shape[1])]
-    U = np.stack(cols, axis=1)
+    U = _greedy_budget(np.ascontiguousarray(absF.T), m1).T
     payoff = (absF * U * m1[:, None]).sum(axis=0)
     h = _greedy_budget(payoff, m2)
     return U * h[None, :]

@@ -195,3 +195,32 @@ def test_mixed_norm_values_batches():
         for i in range(5):
             single = sk.mixed_norm(sk.GridFunction(X, batch[i]), p, q)
             assert out[i] == pytest.approx(single, rel=1e-12, abs=1e-15)
+
+
+def test_large_exponent_does_not_overflow():
+    X = sk.ProductSpace(sk.counting_space(2), sk.singleton_space())
+    f = sk.GridFunction(X, [[2.0], [3.0]])
+    assert sk.mixed_norm(f, 700, 1) == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [1e200, 1e-200], ids=["huge", "tiny"])
+def test_extreme_magnitudes_at_p2(value):
+    X = sk.ProductSpace(sk.singleton_space(), sk.singleton_space())
+    f = sk.GridFunction(X, [[value]])
+    assert sk.mixed_norm(f, 2, 2) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-100, max_value=100), min_size=6, max_size=6),
+    st.floats(min_value=-150, max_value=150),
+    st.floats(min_value=1.0, max_value=800.0),
+    st.floats(min_value=1.0, max_value=800.0),
+)
+def test_homogeneity_over_extreme_magnitudes_and_exponents(log_vals, log_c, p, q):
+    X = sk.ProductSpace(sk.Space(range(3), [1.0, 0.5, 2.0]), sk.Space([0, 1], [0.7, 1.3]))
+    f = sk.GridFunction(X, (10.0 ** np.asarray(log_vals)).reshape(3, 2))
+    c = 10.0**log_c
+    n = sk.mixed_norm(f, p, q)
+    assert 0.0 < n < INF
+    assert sk.mixed_norm(f * c, p, q) == pytest.approx(c * n, rel=1e-12, abs=0.0)

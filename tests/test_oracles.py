@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import schurkit as sk
 
-from conftest import rand_function, rand_kernel, rand_product
+from conftest import rand_function, rand_kernel, rand_product, rand_space
 
 INF = sk.INF
 
@@ -82,3 +84,73 @@ def test_brute_sum_norm_upper_sandwich():
         target = sk.rho_tensor(F)
         assert upper >= target - 1e-12
         assert upper <= 16.0 * target * (1 + 1e-12) + 1e-15
+
+
+def _candidates_per_trial(F, trials, seed):
+    """Norm sums of the oracle's candidates in its order, one at a time,
+    each part through GridFunction and mixed_norm."""
+    space = F.space
+    exponents = [(1, 1), (INF, INF), (1, INF), (INF, 1)]
+
+    def norm_sum(parts):
+        return sum(sk.mixed_norm(sk.GridFunction(space, part), p, q) for part, (p, q) in zip(parts, exponents))
+
+    sums = [sum(sk.split_four(F).corner_norms())]
+    zero = np.zeros(space.shape)
+    for slot in range(4):
+        parts = [zero, zero, zero, zero]
+        parts[slot] = F.values
+        sums.append(norm_sum(parts))
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        weights = rng.dirichlet([1.0] * 4, size=space.shape)
+        sums.append(norm_sum([F.values * weights[:, :, k] for k in range(4)]))
+    return np.array(sums)
+
+
+ORACLE_SHAPES = [(1, 1), (17, 1), (1, 17), (5, 5), (64, 64)]
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids="{0[0]}x{0[1]}".format)
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "cplx"])
+def test_sum_norm_upper_matches_per_trial_reference(shape, complex_values, monkeypatch):
+    rng = np.random.default_rng([21, *shape, int(complex_values)])
+    X = sk.ProductSpace(rand_space(rng, shape[0], lo=0.05), rand_space(rng, shape[1], lo=0.05))
+    F = rand_function(rng, X, complex_values=complex_values)
+    batched = sk.oracles._part_norm_sums
+    seen = []
+    monkeypatch.setattr(sk.oracles, "_part_norm_sums", lambda *args: seen.append(batched(*args)) or seen[-1])
+    for chunk_bytes in (sk.oracles._CHUNK_BYTES, 3 * 4 * 8 * shape[0] * shape[1]):
+        # the second budget makes chunks of 3 trials: 5 -> 3 + 2, 64 -> 21 x 3 + 1
+        monkeypatch.setattr(sk.oracles, "_CHUNK_BYTES", chunk_bytes)
+        for trials in (1, 5, 64):
+            want = _candidates_per_trial(F, trials, seed=7)
+            seen.clear()
+            got = sk.brute_sum_norm_upper(F, trials=trials, seed=7)
+            np.testing.assert_allclose(np.concatenate(seen), want[1:], rtol=1e-15, atol=0.0)
+            if not complex_values:  # |F * w| = |F| * w exactly, and the stages reduce in the same order
+                np.testing.assert_array_equal(np.concatenate(seen), want[1:])
+            assert got == pytest.approx(want.min(), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (9, 8), (64, 64)], ids="{0[0]}x{0[1]}".format)
+def test_chunked_dirichlet_draws_equal_per_trial_draws(shape):
+    rng = np.random.default_rng(5)
+    chunks = [rng.dirichlet([1.0] * 4, size=(t, *shape)) for t in (8, 8, 3)]
+    rng = np.random.default_rng(5)
+    per_trial = np.stack([rng.dirichlet([1.0] * 4, size=shape) for _ in range(19)])
+    np.testing.assert_array_equal(np.concatenate(chunks), per_trial)
+
+
+def test_sum_norm_upper_memory_is_chunked():
+    rng = np.random.default_rng(22)
+    X = sk.ProductSpace(rand_space(rng, 64), rand_space(rng, 64))
+    F = rand_function(rng, X, complex_values=True)
+    sk.brute_sum_norm_upper(F, trials=2)  # warm up lazily built state
+    tracemalloc.start()
+    try:
+        sk.brute_sum_norm_upper(F, trials=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20

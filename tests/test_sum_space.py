@@ -374,3 +374,63 @@ def test_batched_draw_equals_sequential_draws():
     batched = np.random.default_rng(16).random((9, 4, 3))
     rng = np.random.default_rng(16)
     np.testing.assert_array_equal(batched, np.stack([rng.random((4, 3)) for _ in range(9)]))
+
+
+def _profile_inputs():
+    """Grids with ties, zero columns and non-unit masses, in sizes past numpy's pairwise block."""
+    rng = np.random.default_rng(18)
+    for n1, n2 in [(1, 1), (1, 9), (17, 1), (5, 5), (9, 8), (40, 13), (300, 7)]:
+        m1 = 0.05 + 2.0 * rng.random(n1)
+        m2 = 0.05 + 2.0 * rng.random(n2)
+        # ties within each column; the column scales keep slice pay-offs apart,
+        # where a one-ulp difference would hand the outer budget to another slice
+        vals = np.round(rng.random((n1, n2)) * 5.0, 1) * (1.0 + rng.random(n2))
+        vals[:, rng.integers(n2)] = 0.0
+        yield sk.ProductSpace(sk.Space(range(n1), m1), sk.Space(range(n2), m2)), vals
+
+
+def test_slice_profile_equals_per_column_rho():
+    from schurkit.sum_space import _rho_array, _slice_profile
+
+    for X, vals in _profile_inputs():
+        m1 = X.factor1.masses
+        expect = np.array([_rho_array(np.ascontiguousarray(vals[:, j]), m1) for j in range(vals.shape[1])])
+        np.testing.assert_array_equal(_slice_profile(vals, m1), expect)
+
+
+def test_slice_profile_column_with_inf_gives_inf():
+    from schurkit.sum_space import _slice_profile
+
+    vals = np.array([[1.0, 2.0, 0.0], [np.inf, 3.0, 0.0], [0.5, 1.0, 0.0]])
+    with np.errstate(all="raise"):
+        profile = _slice_profile(vals, np.array([0.5, 0.7, 2.0]))
+    assert profile[0] == INF
+    assert np.all(np.isfinite(profile[1:]))
+    assert profile[2] == 0.0
+
+
+def test_greedy_pairing_partner_matches_loop_reference():
+    from schurkit.sum_space import _greedy_pairing_partner
+
+    for X, vals in _profile_inputs():
+        got = _greedy_pairing_partner(vals, X)
+        want = _greedy_partner_loop(vals, X.factor1.masses, X.factor2.masses)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_split_four_parts_match_per_column_reference():
+    from schurkit.sum_space import _rho_array
+
+    for X, vals in _profile_inputs():
+        phase = np.exp(2j * np.pi * np.random.default_rng(vals.shape).random(vals.shape))
+        for F in (sk.GridFunction(X, vals), sk.GridFunction(X, vals * phase)):
+            absF = np.abs(F.values)
+            profile = np.array([_rho_array(absF[:, j].copy(), X.factor1.masses) for j in range(X.shape[1])])
+            alpha = _rho_array(profile, X.factor2.masses)
+            A = (profile > 2.0 * alpha)[None, :]
+            B = absF > 2.0 * profile[None, :]
+            split = sk.split_four(F)
+            assert split.alpha == alpha
+            np.testing.assert_array_equal(split.profile.values, profile)
+            for part, mask in zip(split.parts, (A & B, ~A & ~B, ~A & B, A & ~B)):
+                np.testing.assert_array_equal(part.values, np.where(mask, F.values, 0.0))
