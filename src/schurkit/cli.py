@@ -12,6 +12,7 @@ and seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -215,7 +216,7 @@ def _cmd_sumnorm(args):
     rt = split.alpha  # rho_tensor(|F|): the same slicewise profile and final rho
     part_norms = split.corner_norms()
     norm_sum = float(sum(part_norms))
-    pairing = associate_pairing_sup(F, trials=args.trials, seed=args.seed)
+    pairing = associate_pairing_sup(F)
     upper = brute_sum_norm_upper(F, trials=args.trials, seed=args.seed)
     checks = [
         _check_le("rho_tensor_le_norm_sum", rt, norm_sum, args.tolerance),
@@ -225,6 +226,10 @@ def _cmd_sumnorm(args):
     ]
     for i, (norm, pq) in enumerate(zip(part_norms, ("1_1", "inf_inf", "1_inf", "inf_1")), start=1):
         checks.append(_check_le(f"part{i}_L{pq}_le_4_rho_tensor", norm, 4.0 * rt, args.tolerance))
+    # the greedy partner attains rho_tensor; weak duality puts its pairing
+    # below the norm sum of every decomposition, the oracle's included
+    checks.append(_check_le("rho_tensor_le_pairing_lower", rt, pairing, args.tolerance))
+    checks.append(_check_le("pairing_lower_le_sum_norm_upper", pairing, upper, args.tolerance))
     quantities = {
         "rho_tensor": rt,
         "intersection_norm": intersection_norm(F),
@@ -351,7 +356,9 @@ def _cmd_counterexample(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="schurkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

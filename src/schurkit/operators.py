@@ -175,14 +175,28 @@ def _row_col_integrals(K, sl: slice, A: np.ndarray, col: np.ndarray) -> np.ndarr
 
 
 def _lead_norms(V: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
-    """L^p(m) norms of nonnegative V along its leading axis, as a contraction for p < inf."""
+    """L^p(m) norms of nonnegative V along its leading axis, as a contraction for p < inf.
+
+    The power sum is plain where it is finite and normal. Columns whose sum
+    overflows, or underflows below the smallest normal float while the
+    column is nonzero, are redone max-scaled, as in `mixed_norm._stage`.
+    """
     V2 = V.reshape(len(m), -1)
     if p == INF:
         out = V2.max(axis=0)
     elif p == 1.0:
         out = m @ V2
     else:
-        out = (m @ V2**p) ** (1.0 / p)
+        with np.errstate(over="ignore", under="ignore"):
+            power_sum = m @ V2**p
+        out = power_sum ** (1.0 / p)
+        bad = np.isinf(power_sum) | (power_sum < np.finfo(float).tiny)
+        if np.any(bad):
+            top = V2[:, bad].max(axis=0)
+            bad[bad] = top > 0.0  # all-zero columns are exact as they are
+            top = top[top > 0.0]
+            with np.errstate(under="ignore"):
+                out[bad] = (m @ (V2[:, bad] / top) ** p) ** (1.0 / p) * top
     return out.reshape(V.shape[1:])
 
 

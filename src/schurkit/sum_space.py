@@ -6,7 +6,9 @@ height lambda, the second for the integrable excess. Iterating rho over the
 two factors gives rho_tensor, the computable proxy for the four-space sum
 norm; split_four realizes a concrete four-way decomposition whose norm sum
 is within a factor 16 of it, and associate_pairing_sup certifies the
-companion lower bound by exhibiting explicit unit-ball pairing partners.
+companion lower bound with one explicit pairing partner in the unit ball of
+the intersection space: the two-stage greedy partner, which attains
+rho_tensor.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import ProductSpace, Space
-from .mixed_norm import INF, GridFunction, mixed_norm, mixed_norm_values
+from .mixed_norm import INF, GridFunction, mixed_norm
 
 __all__ = [
     "FactorFunction",
@@ -33,6 +35,9 @@ __all__ = [
     "RECTANGLE_CAP",
 ]
 
+# Not read by the library. bench/worker.py reads it to count the candidates
+# of the former rectangle search; without it that count would treat 64x64 as
+# enumerated, (2^64 - 1)^2 rectangles, past int64.
 RECTANGLE_CAP = 65536
 
 
@@ -225,62 +230,22 @@ def _greedy_pairing_partner(absF: np.ndarray, space: ProductSpace) -> np.ndarray
     return U * h[None, :]
 
 
-def _subset_indicators(n: int) -> np.ndarray:
-    """0/1 matrix whose row mask - 1 indicates the subset {i : bit i of mask}."""
-    masks = np.arange(1, 2**n)
-    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-
-
-def associate_pairing_sup(F: GridFunction, trials: int = 64, seed: int = 0) -> float:
+def associate_pairing_sup(F: GridFunction) -> float:
     """Certified lower bound for sup{ integral of |F*G| : intersection_norm(G) <= 1 }.
 
-    Deterministic candidates: every rectangle indicator (when the rectangle
-    count is at most RECTANGLE_CAP; otherwise single points plus the full
-    space), each point mass, the constant function, and the two-stage greedy
-    partner, plus `trials` seeded random nonnegative draws. Every candidate
-    is rescaled to unit intersection norm before pairing.
-
-    Rectangles are paired in closed form: with S1, S2 the subset-indicator
-    matrices, the pairings of all 1_{V x W} with |F| are the entries of
-    S1 @ (|F| * mass) @ S2.T, and the intersection norm of 1_{V x W} is
-    max(1, mu1(V), mu2(W), mu1(V) mu2(W)) -- its Linf, L{1,inf}, L{inf,1}
-    and L1 norms. Point masses are the S = identity case. The remaining
-    candidates are reduced in one batch. RECTANGLE_CAP still limits which
-    candidates are tried, so the bound can drop where a shape crosses it
-    (8x8 -> 9x8).
+    The one partner is the two-stage greedy G = u_j[i] * h[j], which pairs
+    with |F| to exactly rho_tensor(|F|); the bound is that pairing over G's
+    intersection norm (at most 1). Rectangle indicators, point masses and
+    the constant never beat it: a rectangle's intersection norm
+    max(1, mu1(V), mu2(W), mu1(V) mu2(W)) equals max(1, mu1(V)) max(1, mu2(W)),
+    so the normalized indicator is a product of unit-ball factors and pairs
+    to at most rho_tensor(|F|).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     space = F.space
     absF = np.abs(F.values)
-    weighted = absF * space.mass_grid
-    n1, n2 = space.shape
-    m1 = space.factor1.masses
-    m2 = space.factor2.masses
-
-    if (2**n1 - 1) * (2**n2 - 1) <= RECTANGLE_CAP:
-        # all rectangles; 1x1 ones double as the point masses
-        S1 = _subset_indicators(n1)
-        S2 = _subset_indicators(n2)
-        pairing, mu1, mu2 = S1 @ weighted @ S2.T, S1 @ m1, S2 @ m2
-    else:
-        # point masses: the 1x1 rectangles, S1 and S2 the identity
-        pairing, mu1, mu2 = weighted, m1, m2
-    norm = np.maximum(np.maximum(1.0, mu1[:, None]), np.maximum(mu2[None, :], np.outer(mu1, mu2)))
-    best = float((pairing / norm).max())
-
-    rng = np.random.default_rng(seed)
-    others = np.concatenate(
-        (
-            np.ones((1, n1, n2)),
-            _greedy_pairing_partner(absF, space)[None],
-            rng.random((trials, n1, n2)),
-        )
-    )
-    corners = ((1.0, 1.0), (INF, INF), (1.0, INF), (INF, 1.0))
-    norms = np.max([mixed_norm_values(others, m1, m2, p, q) for p, q in corners], axis=0)
-    pairings = (weighted * others).reshape(len(others), -1).sum(axis=1)
-    return max(best, float((pairings / norms).max()))
+    G = _greedy_pairing_partner(absF, space)
+    pairing = float((absF * space.mass_grid * G).sum())
+    return pairing / intersection_norm(GridFunction(space, G))
 
 
 def holder_upper_bound(split: FourSplit, G: GridFunction) -> float:

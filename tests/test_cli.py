@@ -299,3 +299,46 @@ def test_utf8_bom_input_exits_2(tmp_path, capsys):
     kfile.write_bytes(b"\xef\xbb\xbf" + dumps_json(dump_kernel(sk.lift_plain_kernel([[1.0]]))).encode())
     code, cert, err = _run(capsys, ["schur", "--kernel", str(kfile)])
     assert code == 2 and cert is None and err.startswith("error:")
+
+
+def test_schur_exits_0_where_the_plain_power_sum_overflows(tmp_path, capsys):
+    X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(1))
+    Y = sk.ProductSpace(sk.counting_space(1), sk.counting_space(1))
+    kfile = _write(tmp_path / "threes.json", dump_kernel(sk.Kernel(X, Y, np.full((2, 1, 1, 1), 3.0))))
+    code, cert, _ = _run(capsys, ["schur", "--kernel", kfile, "--p", "700", "--q", "1"])
+    assert code == 0
+    assert cert["quantities"]["opnorm_lower"] == pytest.approx(3.0 * 2.0 ** (1.0 / 700.0), rel=1e-12)
+    assert _check(cert, "opnorm_lower_le_schur_bound")["pass"]
+
+
+def test_sumnorm_pairing_checks(tmp_path, capsys):
+    ffile = _grid_file(tmp_path, [[3, 0, 1], [0.5, 2, 0], [1, 1, 4]])
+    code, cert, _ = _run(capsys, ["sumnorm", "--function", ffile])
+    assert code == 0
+    q = cert["quantities"]
+    low = _check(cert, "rho_tensor_le_pairing_lower")
+    assert low["pass"] and (low["lhs"], low["rhs"]) == (q["rho_tensor"], q["pairing_lower"])
+    up = _check(cert, "pairing_lower_le_sum_norm_upper")
+    assert up["pass"] and (up["lhs"], up["rhs"]) == (q["pairing_lower"], q["sum_norm_upper"])
+
+
+def test_parser_is_built_once():
+    from schurkit.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    kfile = _lifted_kernel_file(tmp_path)
+    code, cert, _ = _run(capsys, ["schur", "--kernel", kfile, "--seed", "5"])
+    assert code == 0 and cert["seed"] == 5
+    code, cert, _ = _run(capsys, ["schur", "--kernel", kfile])
+    assert code == 0 and cert["seed"] == 0
+
+
+def test_bad_arguments_leave_the_parser_usable(tmp_path, capsys):
+    kfile = _lifted_kernel_file(tmp_path)
+    assert run(["schur", "--kernel", kfile, "--seed", "x"]) == 2
+    capsys.readouterr()
+    code, cert, _ = _run(capsys, ["schur", "--kernel", kfile])
+    assert code == 0 and cert["seed"] == 0

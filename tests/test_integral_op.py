@@ -446,3 +446,40 @@ def test_counterexample_memory_is_slab_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def _constant_kernel(value):
+    X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(1))
+    Y = sk.ProductSpace(sk.counting_space(1), sk.counting_space(1))
+    return sk.Kernel(X, Y, np.full((2, 1, 1, 1), value))
+
+
+def test_lower_search_survives_overflowing_power_sums():
+    # K f = 3 f(y) at both target points: the (700, 1) norm is 3 * 2^(1/700)
+    # while 3**700 overflows
+    c, lower = sk.schur_scan(_constant_kernel(3.0), 700, 1)
+    assert tuple(c) == (3.0, 6.0, 6.0, 3.0)
+    assert lower == pytest.approx(3.0 * 2.0 ** (1.0 / 700.0), rel=1e-12)
+    assert lower <= sk.schur_bound(c, 700, 1)
+
+
+@pytest.mark.parametrize("value", [1e200, 1e-200])
+def test_lower_search_at_extreme_magnitudes(value):
+    with np.errstate(all="raise"):
+        c, lower = sk.schur_scan(_constant_kernel(value), 2, 2)
+    assert np.isfinite(lower) and lower > 0.0
+    assert lower == pytest.approx(np.sqrt(2.0) * value, rel=1e-12)
+    assert lower <= sk.schur_bound(c, 2, 2)
+
+
+def test_lead_norms_rescales_only_columns_that_leave_the_normal_range():
+    from schurkit.operators import _lead_norms
+
+    m = np.array([0.5, 2.0])
+    V = np.array([[1e200, 2.0, 0.0, 1e-200], [3e200, 5.0, 0.0, 0.0]])
+    with np.errstate(all="raise"):
+        got = _lead_norms(V, m, 2.0)
+    plain = (m @ V[:, 1] ** 2) ** 0.5
+    assert got[1] == plain  # a column in range keeps the plain contraction
+    assert got[2] == 0.0
+    np.testing.assert_allclose(got[[0, 3]], [np.sqrt(0.5 + 18.0) * 1e200, np.sqrt(0.5) * 1e-200], rtol=1e-14)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import schurkit as sk
-from schurkit.sum_space import RECTANGLE_CAP
 
 from conftest import counting_grid_1234, rand_function, rand_product, rand_space
 
@@ -204,8 +203,6 @@ def test_pairing_sup_frozen():
     point = sk.GridFunction(X, [[1.0]])
     assert sk.associate_pairing_sup(point) == pytest.approx(1.0, rel=1e-12)
     assert sk.associate_pairing_sup(sk.GridFunction(X, [[0.0]])) == 0.0
-    with pytest.raises(ValueError):
-        sk.associate_pairing_sup(point, trials=0)
 
 
 def test_pairing_sup_attains_tensor_norm():
@@ -213,7 +210,7 @@ def test_pairing_sup_attains_tensor_norm():
     for _ in range(15):
         X = rand_product(rng)
         F = rand_function(rng, X, complex_values=bool(rng.integers(2)))
-        pairing = sk.associate_pairing_sup(F, trials=8, seed=5)
+        pairing = sk.associate_pairing_sup(F)
         target = sk.rho_tensor(F.abs())
         assert pairing >= target / 16.0 - 1e-9
         # the greedy dual witness actually achieves the tensor value
@@ -299,8 +296,11 @@ def _greedy_partner_loop(absF, m1, m2):
     return np.array([[cols[j][i] * h[j] for j in range(n2)] for i in range(n1)])
 
 
-def _pairing_sup_one_at_a_time(F, trials, seed, partner=True):
-    """Pairs every candidate separately through sk.intersection_norm."""
+RECTANGLE_CAP = 65536  # the former search enumerated rectangles up to this count
+
+
+def _pairing_sup_one_at_a_time(F, trials, seed):
+    """The former full candidate set, each paired separately through sk.intersection_norm."""
     space = F.space
     n1, n2 = space.shape
     absF = np.abs(F.values)
@@ -318,8 +318,7 @@ def _pairing_sup_one_at_a_time(F, trials, seed, partner=True):
                 g[i, j] = 1.0
                 candidates.append(g)
     candidates.append(np.ones((n1, n2)))
-    if partner:
-        candidates.append(_greedy_partner_loop(absF, space.factor1.masses, space.factor2.masses))
+    candidates.append(_greedy_partner_loop(absF, space.factor1.masses, space.factor2.masses))
     rng = np.random.default_rng(seed)
     candidates.extend(rng.random((n1, n2)) for _ in range(trials))
     best = 0.0
@@ -339,20 +338,55 @@ def test_pairing_sup_matches_one_at_a_time_reference(shape, complex_values):
     rng = np.random.default_rng([14, *shape, int(complex_values)])
     X = sk.ProductSpace(rand_space(rng, shape[0], lo=0.05), rand_space(rng, shape[1], lo=0.05))
     F = rand_function(rng, X, complex_values=complex_values)
-    got = sk.associate_pairing_sup(F, trials=8, seed=3)
+    got = sk.associate_pairing_sup(F)
     assert got == pytest.approx(_pairing_sup_one_at_a_time(F, trials=8, seed=3), rel=1e-12)
 
 
+def _subset_indicators(n):
+    masks = np.arange(1, 2**n)
+    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+
+
 @pytest.mark.parametrize("shape", PAIRING_SHAPES, ids="{0[0]}x{0[1]}".format)
-def test_pairing_sup_rectangles_without_greedy_partner(shape, monkeypatch):
-    # the greedy partner usually wins; replacing it by a second constant
-    # function leaves the rectangles or point masses to set the bound
-    rng = np.random.default_rng([15, *shape])
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "cplx"])
+def test_rectangle_pairings_stay_below_pairing_sup(shape, complex_values):
+    # every normalized rectangle indicator is a product partner, so none
+    # pairs above the greedy partner
+    rng = np.random.default_rng([15, *shape, int(complex_values)])
     X = sk.ProductSpace(*(sk.Space(range(n), 0.05 + 2.0 * rng.random(n)) for n in shape))
-    F = rand_function(rng, X, complex_values=True)
-    monkeypatch.setattr(sk.sum_space, "_greedy_pairing_partner", lambda absF, space: np.ones(absF.shape))
-    got = sk.associate_pairing_sup(F, trials=1, seed=4)
-    assert got == pytest.approx(_pairing_sup_one_at_a_time(F, trials=1, seed=4, partner=False), rel=1e-12)
+    F = rand_function(rng, X, complex_values=complex_values)
+    S1, S2 = _subset_indicators(shape[0]), _subset_indicators(shape[1])
+    mu1, mu2 = S1 @ X.factor1.masses, S2 @ X.factor2.masses
+    norm = np.maximum(np.maximum(1.0, mu1[:, None]), np.maximum(mu2[None, :], np.outer(mu1, mu2)))
+    rectangles = S1 @ (np.abs(F.values) * X.mass_grid) @ S2.T / norm
+    assert rectangles.max() <= sk.associate_pairing_sup(F) * (1 + 1e-12)
+
+
+@st.composite
+def _sum_inputs(draw):
+    """Real or complex F on up to 9x9 points, masses 10^+-3 and moduli 10^+-50 or 0."""
+    n1, n2 = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    masses = [10.0 ** np.array(draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))) for n in (n1, n2)]
+    exps = draw(st.lists(st.one_of(st.none(), st.floats(-50, 50)), min_size=n1 * n2, max_size=n1 * n2))
+    vals = np.array([0.0 if e is None else 10.0**e for e in exps]).reshape(n1, n2)
+    if draw(st.booleans()):
+        turns = draw(st.lists(st.floats(0, 1), min_size=n1 * n2, max_size=n1 * n2))
+        vals = vals * np.exp(2j * np.pi * np.array(turns).reshape(n1, n2))
+    X = sk.ProductSpace(*(sk.Space(range(len(m)), m) for m in masses))
+    return sk.GridFunction(X, vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sum_inputs())
+def test_pairing_sits_between_tensor_norm_and_upper_estimates(F):
+    tensor = sk.rho_tensor(F.abs())
+    pairing = sk.associate_pairing_sup(F)
+    upper = sk.brute_sum_norm_upper(F, trials=8, seed=1)
+    norm_sum = sum(sk.split_four(F).corner_norms())
+    rel = 1 + 1e-12
+    assert tensor <= pairing * rel
+    assert pairing <= upper * rel
+    assert upper <= norm_sum * rel
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (9, 8)], ids=["rectangles", "points"])
@@ -366,7 +400,7 @@ def test_pairing_sup_of_rectangle_indicator_is_exact(shape):
         W = [p for p in X.factor2.points if rng.random() < 0.5] or [0]
         ind = np.zeros(shape)
         ind[np.ix_(V, W)] = 1.0
-        got = sk.associate_pairing_sup(sk.GridFunction(X, ind), trials=4)
+        got = sk.associate_pairing_sup(sk.GridFunction(X, ind))
         assert got == pytest.approx(sk.rectangle_lower_bound(X, V, W), rel=1e-12)
 
 
