@@ -219,25 +219,21 @@ def oscillation(K: Kernel, cov: RectCovering, phase: PhaseGrid | None = None) ->
     _require_square(K, cov)
     if not cov.covers():
         raise ValueError("patches do not cover the space")
-    n1, n2 = cov.space.shape
-    if phase is None:
-        gamma = np.ones((n1, n2, n1, n2), dtype=complex)
-    else:
-        if phase.X != cov.space or phase.Y != cov.space:
-            raise ValueError("phase grid must be square over the covered space")
-        gamma = phase.values
-    Kv = K.values.astype(complex)
-    out = np.zeros(Kv.shape[:2] + (n1, n2))
+    if phase is not None and (phase.X != cov.space or phase.Y != cov.space):
+        raise ValueError("phase grid must be square over the covered space")
+    Kv = K.values if phase is None else K.values.astype(complex)
+    out = np.zeros(Kv.shape[:2] + cov.space.shape)
     for j in range(len(cov)):
-        mask = cov.product_masks[j]
-        y1, y2 = np.nonzero(mask)
-        if y1.size == 0:
-            continue
+        y1, y2 = np.nonzero(cov.product_masks[j])
         Ky = Kv[:, :, y1, y2]  # (n1, n2, t)
-        g = gamma[y1[:, None], y2[:, None], y1[None, :], y2[None, :]]  # (t, t)
-        diffs = np.abs(Ky[:, :, :, None] - g[None, None, :, :] * Ky[:, :, None, :])
-        patch_osc = diffs.max(axis=3)  # (n1, n2, t)
-        out[:, :, y1, y2] = np.maximum(out[:, :, y1, y2], patch_osc)
+        patch_osc = out[:, :, y1, y2]
+        # the max over z runs one patch point at a time: no (n1, n2, t, t) cube
+        for z in range(y1.size):
+            Kz = Ky[:, :, z, None]
+            if phase is not None:
+                Kz = phase.values[y1, y2, y1[z], y2[z]] * Kz
+            np.maximum(patch_osc, np.abs(Ky - Kz), out=patch_osc)
+        out[:, :, y1, y2] = patch_osc
     return Kernel(K.X, K.Y, out)
 
 

@@ -80,6 +80,7 @@ def norm_A(K: Kernel, m: WeightGrid | None = None) -> float:
     for sl, vals in K.slabs():
         A = np.abs(vals) if m is None else np.abs(vals) * m.values[:, sl]
         row = max(row, _row_col_integrals(K, sl, A, col).max())
+        del vals, A  # one slab and its modulus alive while the next is built
     return float(max(row, col.max()))
 
 

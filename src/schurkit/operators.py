@@ -13,6 +13,9 @@ one slab at a time, a slab being a block of the second target axis x2 whose
 values fit in `_SLAB_BYTES`. Every reduction over x1 finishes inside a slab;
 only sums over x2 are carried across slabs. A dense `Kernel` yields views of
 its array, a `SlabKernel` builds each slab when asked and is never held whole.
+Every slab loop holds one slab and its modulus at a time: `slabs()` keeps no
+reference to a slab it has yielded, and each loop drops the slab, its modulus
+and its per-slab partials before it asks for the next one.
 `schur_scan` computes the Schur constants and the seeded lower bound in one
 pass: each slab is read once and its modulus taken once, and the
 mass-weighted sums over it are matrix contractions (gemv and a batched
@@ -56,6 +59,20 @@ def _slab_slices(X: ProductSpace, Y: ProductSpace, itemsize: int) -> list[slice]
     return [slice(s, min(s + width, n2)) for s in range(0, n2, width)]
 
 
+def _require_finite(vals: np.ndarray) -> None:
+    """Raise ValueError unless every entry of vals is finite.
+
+    An inf or a nan always makes the sum non-finite, so a finite sum proves
+    every entry finite; only a sum that overflows from finite entries is
+    checked again entry by entry. The common case reads vals once and builds
+    no boolean temporary.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = vals.sum()
+    if not np.isfinite(total) and not np.isfinite(vals).all():
+        raise ValueError("kernel values must be finite")
+
+
 class Kernel:
     """A dense kernel between two product spaces.
 
@@ -73,12 +90,15 @@ class Kernel:
         expected = X.shape + Y.shape
         if arr.shape != expected:
             raise ValueError(f"kernel shape {arr.shape} does not match spaces {expected}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("kernel values must be finite")
+        _require_finite(arr)
         arr.setflags(write=False)
         self.X = X
         self.Y = Y
         self.values = arr
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
 
     @property
     def is_real(self) -> bool:
@@ -125,15 +145,19 @@ class SlabKernel:
         return self.dtype == np.float64
 
     def slabs(self):
-        """Yield (x2 slice, values of that slab), each built on demand."""
+        """Yield (x2 slice, values of that slab), each built on demand.
+
+        The generator keeps no reference to a slab once it is yielded, so a
+        caller that drops its own holds one slab while the next is built.
+        """
         for sl in _slab_slices(self.X, self.Y, self.dtype.itemsize):
             vals = np.asarray(self._build_slab(sl))
             expected = (self.X.factor1.size, sl.stop - sl.start) + self.Y.shape
             if vals.shape != expected or vals.dtype != self.dtype:
                 raise ValueError(f"slab {vals.dtype}{vals.shape} does not match {self.dtype}{expected}")
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("kernel values must be finite")
+            _require_finite(vals)
             yield sl, vals
+            del vals
 
     def __repr__(self) -> str:
         return f"SlabKernel(X={self.X.shape}, Y={self.Y.shape}, dtype={self.dtype})"
@@ -159,7 +183,10 @@ def apply_kernel(K: Kernel, f: GridFunction) -> GridFunction:
     if f.space != K.Y:
         raise ValueError("function does not live on the kernel's source space")
     g = (f.values * K.Y.mass_grid).reshape(K.Y.size)
-    out = np.concatenate([_apply_slab(vals, g) for _, vals in K.slabs()], axis=1)
+    out = np.empty(K.X.shape, dtype=np.result_type(K.dtype, g.dtype))
+    for sl, vals in K.slabs():
+        out[:, sl] = _apply_slab(vals, g)
+        del vals  # one slab alive while the next is built
     return GridFunction(K.X, out)
 
 
@@ -267,6 +294,7 @@ def _scan(K, trials: _Trials | None) -> tuple[SchurConstants, float | None]:
         if trials is not None:
             col_inner[sl] = s1 if trials.p == 1.0 else _lead_norms(A, mu1, trials.p)
             img_inner[sl] = _lead_norms(np.abs(_apply_slab(vals, trials.weighted)), mu1, trials.p)
+        del vals, A, s1  # one slab and its modulus alive while the next is built
     constants = SchurConstants(float(c1), float(col.max()), float(c3.max()), float((mu2 @ max4).max()))
     if trials is None:
         return constants, None

@@ -237,10 +237,30 @@ def test_python_dash_m_missing_file_exits_2(tmp_path, module):
 
 
 def test_cli_import_leaves_mpmath_unloaded():
-    # mpmath is needed only by the counterexample's closed-form cap
+    # mpmath is a test dependency only
     script = "import sys, schurkit.cli; sys.exit(3 if 'mpmath' in sys.modules else 0)"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_counterexample_runs_without_mpmath():
+    # the closed-form cap is a stored literal; a None entry makes `import mpmath` fail
+    script = (
+        "import sys; sys.modules['mpmath'] = None; from schurkit.cli import run; "
+        "sys.exit(run(['counterexample', '--N', '2', '--M', '8']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["quantities"]["corner_1inf_upper"] == 2.490356500768058
+
+
+def test_non_finite_kernel_file_exits_2(tmp_path, capsys):
+    K = sk.lift_plain_kernel([[1.0, 2.0], [3.0, 4.0]])
+    text = dumps_json(dump_kernel(K)).replace("[4]", "[1e999]")
+    assert "1e999" in text
+    kfile = _write(tmp_path / "inf.json", text)
+    code, cert, err = _run(capsys, ["schur", "--kernel", kfile])
+    assert code == 2 and cert is None and "finite" in err
 
 
 def _as_lists(obj):

@@ -198,6 +198,14 @@ def test_counterexample_kernel_diagnostics():
         sk.counterexample_kernel(4, 1)
 
 
+def test_counterexample_cap_is_the_zeta_bound_rounded_up():
+    mpmath = pytest.importorskip("mpmath")
+    cap = sk.counterexample_kernel(1, 2)[1]["corner_1inf_upper"]
+    with mpmath.workprec(200):
+        exact = mpmath.sqrt(2 * mpmath.zeta(mpmath.mpf(4) / 3) - 1)
+        assert mpmath.mpf(np.nextafter(cap, 0.0)) < exact <= mpmath.mpf(cap)
+
+
 def _dense_counterexample(N, M):
     # the four-broadcast dense build of the kernel, kept as an independent oracle
     xs = np.arange(M) / M

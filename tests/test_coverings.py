@@ -190,6 +190,33 @@ def test_oscillation_phase_can_cancel_sign_flips():
     np.testing.assert_allclose(corrected.values, 0.0, atol=1e-15)
 
 
+def _oscillation_cube(K, cov, phase=None):
+    # the per-patch (n1, n2, t, t) difference cube, kept as the reference
+    n1, n2 = cov.space.shape
+    gamma = np.ones((n1, n2, n1, n2), dtype=complex) if phase is None else phase.values
+    Kv = K.values.astype(complex)
+    out = np.zeros(Kv.shape[:2] + (n1, n2))
+    for mask in cov.product_masks:
+        y1, y2 = np.nonzero(mask)
+        Ky = Kv[:, :, y1, y2]
+        g = gamma[y1[:, None], y2[:, None], y1[None, :], y2[None, :]]
+        diffs = np.abs(Ky[:, :, :, None] - g[None, None, :, :] * Ky[:, :, None, :])
+        out[:, :, y1, y2] = np.maximum(out[:, :, y1, y2], diffs.max(axis=3))
+    return out
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_oscillation_matches_the_difference_cube(complex_values):
+    rng = np.random.default_rng(21)
+    for n1, n2 in [(1, 1), (3, 4), (6, 5)]:
+        X = sk.ProductSpace(sk.counting_space(n1), sk.counting_space(n2))
+        K = rand_kernel(rng, X, X, complex_values)
+        cov = rand_covering(rng, X, max_patches=4)
+        phase = sk.PhaseGrid(X, X, np.exp(2j * np.pi * rng.random(X.shape + X.shape)))
+        np.testing.assert_array_equal(sk.oscillation(K, cov).values, _oscillation_cube(K, cov))
+        np.testing.assert_array_equal(sk.oscillation(K, cov, phase).values, _oscillation_cube(K, cov, phase))
+
+
 def test_phase_grid_requires_unimodular_entries():
     X = _lifted_space()
     with pytest.raises(ValueError):

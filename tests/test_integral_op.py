@@ -448,6 +448,75 @@ def test_counterexample_memory_is_slab_bounded():
     assert peak < 64 * 2**20
 
 
+def test_counterexample_holds_one_slab_at_a_time():
+    import tracemalloc
+
+    from schurkit.operators import _slab_slices
+
+    tracemalloc.start()
+    try:
+        K, _ = sk.counterexample_kernel(16, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slabs = _slab_slices(K.X, K.Y, 16)
+    assert len(slabs) > 1
+    width = max(s.stop - s.start for s in slabs)
+    one_slab = K.X.factor1.size * width * K.Y.size * (16 + 8)  # complex values and their modulus
+    assert peak < 1.15 * one_slab
+
+
+def test_slab_kernel_drops_a_slab_once_yielded(monkeypatch):
+    import weakref
+
+    monkeypatch.setattr(sk.operators, "_SLAB_BYTES", 2 * 4 * 8)  # one x2 column a slab
+    X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(3))
+    Y = sk.ProductSpace(sk.counting_space(2), sk.counting_space(2))
+    yielded = []
+
+    def build(sl):
+        assert all(ref() is None for ref in yielded), "a yielded slab is still referenced"
+        return np.ones((2, sl.stop - sl.start, 2, 2))
+
+    for _, vals in sk.SlabKernel(X, Y, float, build).slabs():
+        yielded.append(weakref.ref(vals))
+        del vals
+    assert len(yielded) == 3
+
+
+def _kernel_through_finite_check(kind, vals):
+    X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(2))
+    Y = sk.ProductSpace(sk.counting_space(1), sk.counting_space(1))
+    vals = vals.reshape(X.shape + Y.shape)
+    if kind == "dense":
+        return sk.Kernel(X, Y, vals)
+    K = sk.SlabKernel(X, Y, vals.dtype, lambda sl: vals[:, sl])
+    for _ in K.slabs():  # each slab is checked as it is built
+        pass
+    return K
+
+
+@pytest.mark.parametrize("kind", ["dense", "slab"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_finite_check_accepts_sums_that_overflow(kind, dtype):
+    vals = np.full(4, 1e308, dtype=dtype)
+    if dtype is complex:
+        vals += 1e308j
+    K = _kernel_through_finite_check(kind, vals)
+    assert K.is_real == (dtype is float)
+
+
+@pytest.mark.parametrize("kind", ["dense", "slab"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("base", [1.0, 1e308])
+def test_finite_check_rejects_one_non_finite_entry(kind, part, bad, base):
+    vals = np.full(4, base, dtype=float if part == "real" else complex)
+    vals[2] = complex(1.0, bad) if part == "imag" else bad
+    with pytest.raises(ValueError, match="finite"):
+        _kernel_through_finite_check(kind, vals)
+
+
 def _constant_kernel(value):
     X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(1))
     Y = sk.ProductSpace(sk.counting_space(1), sk.counting_space(1))

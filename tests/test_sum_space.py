@@ -404,12 +404,6 @@ def test_pairing_sup_of_rectangle_indicator_is_exact(shape):
         assert got == pytest.approx(sk.rectangle_lower_bound(X, V, W), rel=1e-12)
 
 
-def test_batched_draw_equals_sequential_draws():
-    batched = np.random.default_rng(16).random((9, 4, 3))
-    rng = np.random.default_rng(16)
-    np.testing.assert_array_equal(batched, np.stack([rng.random((4, 3)) for _ in range(9)]))
-
-
 def _profile_inputs():
     """Grids with ties, zero columns and non-unit masses, in sizes past numpy's pairwise block."""
     rng = np.random.default_rng(18)
