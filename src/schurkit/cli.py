@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 
 import numpy as np
@@ -22,7 +21,6 @@ import numpy as np
 from . import __version__
 from .coorbit import coorbit_report, counterexample_kernel, reproducing_kernel
 from .coverings import (
-    PhaseGrid,
     covering_weights,
     maximal_kernel,
     oscillation,
@@ -35,7 +33,9 @@ from .jsonio import (
     load_frame,
     load_grid_function,
     load_kernel,
+    load_phase_grid,
     load_weight_grid,
+    loads_json,
 )
 from .kernel_algebra import WeightGrid, compose, norm_A, norm_B, submult_weight_constant
 from .mixed_norm import INF, GridFunction, check_exponent, mixed_norm
@@ -59,7 +59,7 @@ def _read_json(path: str) -> tuple:
     digest = hashlib.sha256(data).hexdigest()
     text = data.decode("utf-8")
     del data  # inputs reach ~15 MB; the bytes need not live on while the text is parsed
-    return json.loads(text), digest
+    return loads_json(text), digest
 
 
 class _Inputs:
@@ -263,14 +263,9 @@ def _cmd_covering(args):
     if report.admissible:
         weights, _, c0 = covering_weights(cov)
         maximal = maximal_kernel(K, cov)
-
-        def load_phase(obj):
-            vals = np.asarray(obj["re"], dtype=float)
-            if "im" in obj:
-                vals = vals + 1j * np.asarray(obj["im"], dtype=float)
-            return PhaseGrid(K.X, K.Y, vals)
-
-        phase = inputs.load("phase", args.phase, load_phase) if args.phase else None
+        phase = None
+        if args.phase:
+            phase = inputs.load("phase", args.phase, lambda obj: load_phase_grid(obj, K.X, K.Y))
         osc = oscillation(K, cov, phase)
         quantities["patch_weights"] = [float(w) for w in weights]
         quantities["condition_constant"] = c0

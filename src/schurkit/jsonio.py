@@ -1,33 +1,40 @@
 """JSON wire formats for spaces, functions, kernels, coverings, and frames.
 
 Loading validates shapes and positivity and returns the corresponding
-library objects; dumping inverts it. `dumps_json` is a hand-rolled
-serializer emitting floats with 17 significant digits (round-trip exact in
-double precision) and infinities as the string "inf"; byte-identical output
-for identical data is part of the contract. Dumped functions and kernels
-keep their values as float64 arrays, which `dumps_json` formats a row at a
-time.
+library objects; dumping inverts it. `loads_json` parses a document with
+the stdlib's C scanner, but turns a top-level object's "re" and "im" arrays
+into float64 arrays block by block, so their nested lists of Python floats
+never exist whole. `dumps_json` is a hand-rolled serializer emitting floats
+with 17 significant digits (round-trip exact in double precision) and
+infinities as the string "inf"; byte-identical output for identical data is
+part of the contract. Dumped functions and kernels keep their values as
+float64 arrays, which `dumps_json` formats a block of rows at a time.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from json.decoder import WHITESPACE, scanstring
+from json.scanner import make_scanner
 
 import numpy as np
 
 from .coorbit import FiniteFrame, gabor_frame
-from .coverings import RectCovering
+from .coverings import PhaseGrid, RectCovering
 from .kernel_algebra import WeightGrid
 from .measure import ProductSpace, Space
 from .mixed_norm import GridFunction
 from .operators import Kernel
 
 __all__ = [
+    "loads_json",
     "load_space",
     "load_product",
     "load_grid_function",
     "load_kernel",
     "load_weight_grid",
+    "load_phase_grid",
     "load_covering",
     "load_frame",
     "dump_space",
@@ -36,6 +43,110 @@ __all__ = [
     "dump_kernel",
     "dumps_json",
 ]
+
+
+# ---------------------------------------------------------------------------
+# parsing
+# ---------------------------------------------------------------------------
+
+_scan_once = make_scanner(json.JSONDecoder())
+_ws = WHITESPACE.match
+_FLOAT_MEMBERS = ("re", "im")
+_BLOCK_CHARS = 1 << 18  # text of the elements scanned into Python floats before they are packed
+
+
+def loads_json(text: str):
+    """`json.loads(text)`, except that a top-level object's "re" and "im"
+    arrays come back as float64 arrays.
+
+    Those arrays are scanned one element at a time (see `_scan_floats`);
+    every other value goes through the C scanner whole. Malformed text and
+    a UTF-8 BOM raise `json.JSONDecodeError`, a ragged or non-numeric
+    "re"/"im" array raises `ValueError` or `TypeError`, as `np.asarray`
+    would on the parsed lists, and nesting past the interpreter's limit
+    raises `RecursionError`.
+    """
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    idx = _ws(text, 0).end()
+    if text[idx : idx + 1] == "{":
+        obj, end = _scan_object(text, idx + 1)
+    else:
+        obj, end = _scan_value(text, idx)
+    end = _ws(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return obj
+
+
+def _scan_value(s: str, idx: int) -> tuple:
+    try:
+        return _scan_once(s, idx)
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", s, err.value) from None
+
+
+def _scan_object(s: str, idx: int) -> tuple:
+    """(dict, end) of the object whose '{' is at s[idx - 1]; a repeated key keeps its last value."""
+    obj: dict = {}
+    end = _ws(s, idx).end()
+    if s[end : end + 1] == "}":
+        return obj, end + 1
+    while True:
+        if s[end : end + 1] != '"':
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", s, end)
+        key, end = scanstring(s, end + 1)
+        end = _ws(s, end).end()
+        if s[end : end + 1] != ":":
+            raise json.JSONDecodeError("Expecting ':' delimiter", s, end)
+        end = _ws(s, end + 1).end()
+        if key in _FLOAT_MEMBERS and s[end : end + 1] == "[":
+            obj[key], end = _scan_floats(s, end + 1)
+        else:
+            obj[key], end = _scan_value(s, end)
+        end = _ws(s, end).end()
+        if s[end : end + 1] == "}":
+            return obj, end + 1
+        if s[end : end + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", s, end)
+        end = _ws(s, end + 1).end()
+
+
+def _scan_floats(s: str, idx: int) -> tuple:
+    """(float64 array, end) of the array whose '[' is at s[idx - 1].
+
+    Elements are scanned one at a time and packed by `np.asarray` into a
+    block once the pending ones span `_BLOCK_CHARS` of text, so one block at
+    most exists as nested lists. The result equals `np.asarray` of the whole
+    list: a block that is ragged or non-numeric fails `np.asarray`, and
+    blocks whose elements differ in shape fail `np.concatenate`.
+    """
+    if len(s) - idx < _BLOCK_CHARS:  # the rest of the text, so the whole array, fits in one block
+        value, end = _scan_value(s, idx - 1)
+        return np.asarray(value, dtype=float), end
+    blocks, pending = [], []
+    end = start = _ws(s, idx).end()
+    if s[end : end + 1] == "]":
+        return np.empty(0), end + 1
+    while True:
+        value, end = _scan_value(s, end)
+        pending.append(value)
+        end = _ws(s, end).end()
+        closed = s[end : end + 1] == "]"
+        if closed or end - start >= _BLOCK_CHARS:
+            blocks.append(np.asarray(pending, dtype=float))
+            pending = []
+            start = end
+        if closed:
+            return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)), end + 1
+        if s[end : end + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", s, end)
+        end = _ws(s, end + 1).end()
+
+
+# ---------------------------------------------------------------------------
+# loading
+# ---------------------------------------------------------------------------
 
 
 def _point(p):
@@ -56,12 +167,19 @@ def load_product(obj) -> ProductSpace:
 
 
 def _complex_array(obj, what: str) -> np.ndarray:
-    if "re" not in obj:
+    """The "re" array, or "re" and "im" assembled into one complex array in place."""
+    if not isinstance(obj, dict) or "re" not in obj:
         raise ValueError(f"{what} JSON needs 're'")
     re = np.asarray(obj["re"], dtype=float)
-    if "im" in obj:
-        return re + 1j * np.asarray(obj["im"], dtype=float)
-    return re
+    if "im" not in obj:
+        return re
+    im = np.asarray(obj["im"], dtype=float)
+    if im.shape != re.shape:
+        raise ValueError(f"{what} JSON: 'im' has shape {im.shape}, 're' has shape {re.shape}")
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def load_grid_function(obj) -> GridFunction:
@@ -80,6 +198,10 @@ def load_weight_grid(obj) -> WeightGrid:
     if not isinstance(obj, dict) or obj.get("positive") is not True:
         raise ValueError("weight-grid JSON must set \"positive\": true")
     return WeightGrid(load_product(obj["X"]), load_product(obj["Y"]), _complex_array(obj, "weight"))
+
+
+def load_phase_grid(obj, X: ProductSpace, Y: ProductSpace) -> PhaseGrid:
+    return PhaseGrid(X, Y, _complex_array(obj, "phase"))
 
 
 def load_covering(obj, space: ProductSpace) -> RectCovering:
@@ -167,14 +289,27 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
+_EMIT_BLOCK = 1 << 17  # values turned into Python floats at a time: 1 MiB as float64
+
+
 def _emit_array(a: np.ndarray, pieces: list) -> None:
-    """Nested-list text of a finite, non-empty float array, one format per row."""
+    """Nested-list text of a finite, non-empty float array, one format per row.
+
+    Rows are converted to Python floats a block of about `_EMIT_BLOCK`
+    values at a time, so only one block exists as Python floats.
+    """
     width = a.shape[-1]
     row = "[" + ", ".join(["%.17g"] * width) + "]"
-    text = [row % tuple(r) for r in a.reshape(a.size // width, width).tolist()]
-    for n in reversed(a.shape[:-1]):
+    rows = a.reshape(a.size // width, width)
+    step = max(1, _EMIT_BLOCK // width)
+    text: list = []
+    for i in range(0, len(rows), step):
+        text += [row % tuple(r) for r in rows[i : i + step].tolist()]
+    for n in reversed(a.shape[1:-1]):
         text = ["[" + ", ".join(text[i : i + n]) + "]" for i in range(0, len(text), n)]
-    pieces.append(text[0])
+    if a.ndim > 1:  # outer brackets as pieces of their own: "[" + text + "]" would copy the whole text twice
+        text = ["[", ", ".join(text), "]"]
+    pieces += text
 
 
 def _emit(obj, indent: int, pieces: list) -> None:

@@ -2,11 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import schurkit as sk
+from schurkit import jsonio
 from schurkit.cli import run
 from schurkit.jsonio import dump_grid_function, dump_kernel, dumps_json
 from schurkit.operators import VERTEX_CAP
@@ -139,6 +141,52 @@ def test_covering_admissible_path(tmp_path, capsys):
     assert np.all(maximal >= np.abs(K.values) - 1e-12)
 
 
+def _covering_files(tmp_path):
+    X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(2))
+    K = sk.Kernel(X, X, np.arange(16, dtype=float).reshape(2, 2, 2, 2) - 7.5)
+    kfile = _write(tmp_path / "kk.json", dump_kernel(K))
+    covfile = _write(tmp_path / "cov.json", {"patches": [{"V": [0], "W": [0, 1]}, {"V": [1], "W": [0, 1]}]})
+    return K, kfile, covfile
+
+
+def test_covering_phase_file_sets_the_oscillation_kernel(tmp_path, capsys):
+    K, kfile, covfile = _covering_files(tmp_path)
+    phase = sk.PhaseGrid(K.X, K.X, np.exp(2j * np.pi * np.random.default_rng(3).random((2, 2, 2, 2))))
+    pfile = _write(tmp_path / "phase.json", dump_kernel(phase))
+    code, cert, _ = _run(capsys, ["covering", "--kernel", kfile, "--covering", covfile, "--phase", pfile])
+    assert code == 0
+    cov = sk.RectCovering(K.X, [((0,), (0, 1)), ((1,), (0, 1))])
+    expected = sk.oscillation(K, cov, phase)
+    assert np.array_equal(np.asarray(cert["oscillation_kernel"]["re"]), expected.values)
+
+
+def test_im_of_another_shape_exits_2(tmp_path, capsys):
+    K, kfile, covfile = _covering_files(tmp_path)
+    X = K.X
+    one = np.ones((2, 2, 2, 2))
+    files = {
+        "kernel": dump_kernel(K),
+        "function": dump_grid_function(sk.GridFunction(X, one[0, 0])),
+        "weight": dump_kernel(sk.WeightGrid(X, X, one)),
+        "phase": dump_kernel(sk.PhaseGrid(X, X, one)),
+    }
+    argvs = {
+        "kernel": lambda f: ["schur", "--kernel", f],
+        "function": lambda f: ["norm", "--function", f],
+        "weight": lambda f: ["norm", "--kernel", kfile, "--weight", f],
+        "phase": lambda f: ["covering", "--kernel", kfile, "--covering", covfile, "--phase", f],
+    }
+    for what, obj in files.items():
+        good = _write(tmp_path / f"{what}-good.json", obj)
+        assert run(argvs[what](good)) == 0, what
+        capsys.readouterr()
+        for im in ([0.5], np.zeros(obj["re"].shape[:-1])):  # once broadcast onto every entry
+            bad = _write(tmp_path / f"{what}.json", {**obj, "im": im})
+            code, cert, err = _run(capsys, argvs[what](bad))
+            assert code == 2 and cert is None, what
+            assert f"{what} JSON: 'im' has shape" in err, err
+
+
 def test_covering_gap_fails_cleanly(tmp_path, capsys):
     X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(2))
     K = sk.Kernel(X, X, np.ones((2, 2, 2, 2)))
@@ -267,7 +315,8 @@ def _as_lists(obj):
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in obj.items()}
 
 
-def test_array_emit_matches_list_emit():
+def test_array_emit_matches_list_emit(monkeypatch):
+    blocks = (jsonio._EMIT_BLOCK, 1, 5, 12)
     rng = np.random.default_rng(21)
     X = sk.ProductSpace(sk.counting_space(3), sk.counting_space(2))
     Y = sk.ProductSpace(sk.counting_space(2), sk.counting_space(4))
@@ -278,12 +327,35 @@ def test_array_emit_matches_list_emit():
         if cplx:
             vals = vals + 1j * vals[::-1]
         K = sk.Kernel(X, Y, vals)
-        for dumped in (dump_kernel(K), dump_kernel(sk.transpose(K)),
-                       dump_grid_function(sk.GridFunction(X, vals[:, :, 0, 0]))):
-            assert isinstance(dumped["re"], np.ndarray)
-            text = dumps_json(dumped)
-            assert text == dumps_json(_as_lists(dumped))
-            assert json.loads(text)["re"] == dumped["re"].tolist()
+        # small blocks format a few rows at a time and end some blocks mid-axis
+        for block in blocks:
+            monkeypatch.setattr(jsonio, "_EMIT_BLOCK", block)
+            for dumped in (dump_kernel(K), dump_kernel(sk.transpose(K)),
+                           dump_grid_function(sk.GridFunction(X, vals[:, :, 0, 0])),
+                           {"re": np.real(vals)[0]}, {"re": np.real(vals).ravel()}):
+                assert isinstance(dumped["re"], np.ndarray)
+                text = dumps_json(dumped)
+                assert text == dumps_json(_as_lists(dumped))
+                assert json.loads(text)["re"] == dumped["re"].tolist()
+
+
+def test_array_emit_spans_several_default_blocks():
+    vals = np.random.default_rng(4).standard_normal((4, 2, 150, 250))
+    assert vals.size > 2 * jsonio._EMIT_BLOCK
+    assert dumps_json({"re": vals}) == dumps_json({"re": vals.tolist()})
+
+
+def test_array_emit_holds_the_text_about_twice():
+    # one block as Python floats beside the row texts, then the text and its
+    # joined copy; wrapping the whole text in brackets made a third copy
+    vals = np.random.default_rng(6).standard_normal((24,) * 4)
+    tracemalloc.start()
+    try:
+        text = dumps_json({"re": vals})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text) + 32 * jsonio._EMIT_BLOCK
 
 
 def test_array_emit_keeps_inf_and_refuses_nan():
