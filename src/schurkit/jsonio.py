@@ -119,7 +119,10 @@ def _scan_floats(s: str, idx: int) -> tuple:
     block once the pending ones span `_BLOCK_CHARS` of text, so one block at
     most exists as nested lists. The result equals `np.asarray` of the whole
     list: a block that is ragged or non-numeric fails `np.asarray`, and
-    blocks whose elements differ in shape fail `np.concatenate`.
+    blocks whose elements differ in shape fail `np.concatenate`. An array
+    that cannot span more than one block is scanned by one call of the C
+    scanner: element by element, `sumnorm` on small function files took
+    about 3% longer per certificate.
     """
     if len(s) - idx < _BLOCK_CHARS:  # the rest of the text, so the whole array, fits in one block
         value, end = _scan_value(s, idx - 1)

@@ -339,12 +339,6 @@ def test_array_emit_matches_list_emit(monkeypatch):
                 assert json.loads(text)["re"] == dumped["re"].tolist()
 
 
-def test_array_emit_spans_several_default_blocks():
-    vals = np.random.default_rng(4).standard_normal((4, 2, 150, 250))
-    assert vals.size > 2 * jsonio._EMIT_BLOCK
-    assert dumps_json({"re": vals}) == dumps_json({"re": vals.tolist()})
-
-
 def test_array_emit_holds_the_text_about_twice():
     # one block as Python floats beside the row texts, then the text and its
     # joined copy; wrapping the whole text in brackets made a third copy
