@@ -52,6 +52,14 @@ def _exponent(text: str) -> float:
     return check_exponent(float(text))
 
 
+def _tolerance(text: str) -> float:
+    """A check tolerance: finite and >= 0, or the argument is refused (exit 2)."""
+    tol = float(text)
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def _read_json(path: str) -> tuple:
     """Parse a UTF-8 JSON file read once; returns (object, sha256 of the bytes parsed)."""
     with open(path, "rb") as fh:
@@ -358,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, seeded: bool = False):
-        sp.add_argument("--tolerance", type=float, default=1e-9, help="relative tolerance for checks")
+        sp.add_argument("--tolerance", type=_tolerance, default=1e-9, help="relative tolerance for checks, finite and >= 0")
         if seeded:
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--trials", type=int, default=64)

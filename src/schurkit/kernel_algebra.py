@@ -6,6 +6,9 @@ column integrals. The structured one applies that construction twice: first
 to each partial kernel obtained by freezing the second coordinates on both
 sides, then to the grid of partial norms. Composition is the mass-weighted
 matrix product; weights enter multiplicatively.
+
+Both norms read the kernel's slabs through the scan behind the Schur
+constants, so both accept a `SlabKernel`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .measure import ProductSpace, Space, counting_space, singleton_space
 from .mixed_norm import GridFunction
-from .operators import Kernel, _row_col_integrals
+from .operators import Kernel, _scan
 
 __all__ = [
     "WeightGrid",
@@ -43,45 +46,26 @@ class WeightGrid(Kernel):
             raise ValueError("weight grid entries must be strictly positive reals")
 
 
-def _norm_a_matrix(A: np.ndarray, mx: np.ndarray, my: np.ndarray) -> float:
-    """max(best row integral, best column integral) of a nonnegative matrix."""
-    row = (A * my).sum(axis=1).max()
-    col = (A * mx[:, None]).sum(axis=0).max()
-    return float(max(row, col))
-
-
-def _check_weight(K: Kernel, m: WeightGrid) -> None:
+def _check_weight(K: Kernel, m: WeightGrid | None) -> None:
+    if m is None:
+        return
     if not isinstance(m, WeightGrid):
         raise TypeError("weight must be a WeightGrid")
     if m.X != K.X or m.Y != K.Y:
         raise ValueError("weight grid does not match the kernel's spaces")
 
 
-def _weighted_abs(K: Kernel, m: WeightGrid | None) -> np.ndarray:
-    A = np.abs(K.values)
-    if m is None:
-        return A
-    _check_weight(K, m)
-    return A * m.values
-
-
 def norm_A(K: Kernel, m: WeightGrid | None = None) -> float:
     """Plain kernel norm: larger of the best row and column integrals of |m*K|.
 
     The product structure is ignored; rows are integrated against the source
-    masses and columns against the target masses. The kernel is read in the
-    x2-slabs of `schur_constants`, with the same row and column integrals, so
-    unweighted `norm_A(K) == max(c1, c2)` exactly.
+    masses and columns against the target masses. These are the Schur
+    constants C1 and C2 of |m*K|, from the same scan, so unweighted
+    `norm_A(K) == max(c1, c2)` exactly.
     """
-    if m is not None:
-        _check_weight(K, m)
-    row = 0.0
-    col = np.zeros(K.Y.size)
-    for sl, vals in K.slabs():
-        A = np.abs(vals) if m is None else np.abs(vals) * m.values[:, sl]
-        row = max(row, _row_col_integrals(K, sl, A, col).max())
-        del vals, A  # one slab and its modulus alive while the next is built
-    return float(max(row, col.max()))
+    _check_weight(K, m)
+    c = _scan(K, None, m).constants
+    return max(c.c1, c.c2)
 
 
 def norm_B(K: Kernel, m: WeightGrid | None = None) -> float:
@@ -91,18 +75,13 @@ def norm_B(K: Kernel, m: WeightGrid | None = None) -> float:
     norm of the partial kernel (x1, y1) -> |m*K|((x1,x2),(y1,y2)) over the
     first factors. Stage two: take the plain norm of that nonnegative grid
     over the second factors. With singleton second factors this collapses to
-    `norm_A`; with m absent the weight is implicitly 1.
+    `norm_A`; with m absent the weight is implicitly 1. Stage one's best rows
+    and columns are the grids that C4 and C3 sum against mu2 and nu2.
     """
-    A = _weighted_abs(K, m)
-    mu1 = K.X.factor1.masses
-    mu2 = K.X.factor2.masses
-    nu1 = K.Y.factor1.masses
-    nu2 = K.Y.factor2.masses
-    # partial-kernel plain norms, batched over (x2, y2)
-    row = (A * nu1[None, None, :, None]).sum(axis=2).max(axis=0)  # (x2, y2)
-    col = (A * mu1[:, None, None, None]).sum(axis=0).max(axis=1)  # (x2, y2)
-    gamma = np.maximum(row, col)
-    return _norm_a_matrix(gamma, mu2, nu2)
+    _check_weight(K, m)
+    scan = _scan(K, None, m)
+    gamma = np.maximum(scan.best_row, scan.best_col)  # (x2, y2)
+    return float(max((gamma @ K.Y.factor2.masses).max(), (K.X.factor2.masses @ gamma).max()))
 
 
 def transpose(K: Kernel) -> Kernel:

@@ -8,18 +8,18 @@ exponent pairs the bounds are exact for nonnegative kernels, which
 vertices built in closed form. `VERTEX_CAP` bounds only the exhaustive
 vertex enumeration of `oracles.brute_corner_opnorm`.
 
-`schur_constants`, `apply_kernel` and `opnorm_lower_search` read a kernel
-one slab at a time, a slab being a block of the second target axis x2 whose
-values fit in `_SLAB_BYTES`. Every reduction over x1 finishes inside a slab;
-only sums over x2 are carried across slabs. A dense `Kernel` yields views of
-its array, a `SlabKernel` builds each slab when asked and is never held whole.
-Every slab loop holds one slab and its modulus at a time: `slabs()` keeps no
-reference to a slab it has yielded, and each loop drops the slab, its modulus
-and its per-slab partials before it asks for the next one.
-`schur_scan` computes the Schur constants and the seeded lower bound in one
-pass: each slab is read once and its modulus taken once, and the
-mass-weighted sums over it are matrix contractions (gemv and a batched
-matmul) rather than broadcast products of the slab's full shape.
+`schur_constants`, `apply_kernel`, `opnorm_lower_search`, `norm_A` and
+`norm_B` read a kernel one slab at a time, a slab being a block of the
+second target axis x2 whose values fit in `_SLAB_BYTES`. Every reduction
+over x1 finishes inside a slab; only sums over x2 are carried across slabs.
+A dense `Kernel` yields views of its array, a `SlabKernel` builds each slab
+when asked and is never held whole. Every slab loop holds one slab and its
+modulus at a time: `slabs()` keeps no reference to a slab it has yielded,
+and each loop drops the slab, its modulus and its per-slab partials before
+it asks for the next one. All but `apply_kernel` run one scan, `_scan`: each
+slab is read once and its modulus taken once, and the mass-weighted sums
+over it are matrix contractions (gemv and a batched matmul) rather than
+broadcast products of the slab's full shape.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ class SlabKernel:
     build_slab(sl) returns the values K[:, sl] of shape (|X1|, len(sl)) +
     Y.shape for a slice sl of the second target axis; each slab is built
     again whenever `slabs()` is iterated. `schur_constants`, `apply_kernel`,
-    `opnorm_lower_search` and `kernel_algebra.norm_A` accept it like a dense
-    `Kernel`.
+    `opnorm_lower_search`, `kernel_algebra.norm_A` and `kernel_algebra.norm_B`
+    accept it like a dense `Kernel`.
     """
 
     __slots__ = ("X", "Y", "dtype", "_build_slab")
@@ -190,17 +190,6 @@ def apply_kernel(K: Kernel, f: GridFunction) -> GridFunction:
     return GridFunction(K.X, out)
 
 
-def _row_col_integrals(K, sl: slice, A: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Row integrals of a nonnegative slab A = |K|[:, sl]; adds its column integrals to col.
-
-    Both are contractions of the slab's |X| x |Y| view: the rows are A2 @ nu,
-    the columns xmass @ A2.
-    """
-    A2 = A.reshape(-1, K.Y.size)
-    col += K.X.mass_grid[:, sl].reshape(-1) @ A2
-    return A2 @ K.Y.mass_grid.reshape(-1)
-
-
 def _lead_norms(V: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
     """L^p(m) norms of nonnegative V along its leading axis, as a contraction for p < inf.
 
@@ -242,7 +231,8 @@ def _draw_trials(K, p, q, trials: int, seed: int) -> _Trials:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n1y, n2y = K.Y.shape
-    # the point masses come first in the trial set; constant and random tail follow
+    # every point mass (taken in closed form by `_scan`) and the constant always
+    # run; random draws fill what is left of `trials`, if anything is
     n_rand = max(0, trials - (n1y * n2y + 1))
     rng = np.random.default_rng(seed)
     if K.is_real:
@@ -255,15 +245,24 @@ def _draw_trials(K, p, q, trials: int, seed: int) -> _Trials:
     return _Trials(p, q, batch, weighted)
 
 
-def _scan(K, trials: _Trials | None) -> tuple[SchurConstants, float | None]:
-    """The Schur constants, and the lower search over `trials` if given, from one read per slab.
+class _Scan(NamedTuple):
+    constants: SchurConstants
+    best_row: np.ndarray  # (x2, y2): max over x1 of sum_{y1} nu1 |m*K|, per partial kernel
+    best_col: np.ndarray  # (x2, y2): max over y1 of sum_{x1} mu1 |m*K|
+    lower: float | None  # the lower search, when trials are given
 
-    Each slab is read once and its modulus A = |K|[:, x2 slab] taken once.
-    Everything summed over x1 or over the source finishes inside the slab,
-    as contractions of A: rows A2 @ nu and columns xmass @ A2 on its
-    |X| x |Y| view (C1, C2), mu1 @ A over x1 (C3, and the point masses at
-    p = 1), and sum_{y1} nu1 A as a batched matmul (C4). Only per-x2 results
-    are carried across slabs; the outer sums over x2 or y2 are gemv.
+
+def _scan(K, trials: _Trials | None, m=None) -> _Scan:
+    """The Schur constants, the partial-kernel grids and the lower search, from one read per slab.
+
+    Each slab is read once and its modulus A = |K|[:, x2 slab] taken once,
+    times m.values[:, x2 slab] if a weight grid m is given. Everything
+    summed over x1 or over the source finishes inside the slab, as
+    contractions of A: rows A2 @ nu and columns xmass @ A2 on its
+    |X| x |Y| view (C1, C2), mu1 @ A over x1 (the best columns, C3, and the
+    point masses at p = 1), and sum_{y1} nu1 A as a batched matmul (the best
+    rows, C4). Only per-x2 results are carried across slabs; the outer sums
+    over x2 or y2 are gemv, and C3's is taken per slab.
 
     The lower search takes the point masses in closed form: the image of a
     unit spike at (c, d) is the (c, d) column of K times nu(c, d), so its
@@ -280,24 +279,31 @@ def _scan(K, trials: _Trials | None) -> tuple[SchurConstants, float | None]:
     c1 = 0.0
     col = np.zeros(K.Y.size)
     c3 = np.empty(len(mu2))
-    max4 = np.empty((len(mu2), n2y))  # max over x1 of sum_{y1} nu1 |K|, per (x2, y2)
+    best_row = np.empty((len(mu2), n2y))
+    best_col = np.empty((len(mu2), n2y))
     if trials is not None:
         col_inner = np.empty((len(mu2), n1y, n2y))  # x1-norm of each point-mass column
         img_inner = np.empty((len(mu2), len(trials.batch)))  # x1-norm of each trial image
     for sl, vals in K.slabs():
         A = np.abs(vals)
+        if m is not None:
+            A *= m.values[:, sl]
         w = A.shape[1]
-        c1 = max(c1, _row_col_integrals(K, sl, A, col).max())
+        A2 = A.reshape(-1, K.Y.size)
+        col += K.X.mass_grid[:, sl].reshape(-1) @ A2
+        c1 = max(c1, (A2 @ K.Y.mass_grid.reshape(-1)).max())
         s1 = _lead_norms(A, mu1, 1.0)  # (x2, y1, y2): sum_{x1} mu1 |K|
-        c3[sl] = s1.max(axis=1) @ nu2
-        max4[sl] = (nu1 @ A.reshape(n1 * w, n1y, n2y)).reshape(n1, w, n2y).max(axis=0)
+        slab_cols = s1.max(axis=1)
+        c3[sl] = slab_cols @ nu2
+        best_col[sl] = slab_cols
+        best_row[sl] = (nu1 @ A.reshape(n1 * w, n1y, n2y)).reshape(n1, w, n2y).max(axis=0)
         if trials is not None:
             col_inner[sl] = s1 if trials.p == 1.0 else _lead_norms(A, mu1, trials.p)
             img_inner[sl] = _lead_norms(np.abs(_apply_slab(vals, trials.weighted)), mu1, trials.p)
-        del vals, A, s1  # one slab and its modulus alive while the next is built
-    constants = SchurConstants(float(c1), float(col.max()), float(c3.max()), float((mu2 @ max4).max()))
+        del vals, A, A2, s1  # one slab and its modulus alive while the next is built
+    constants = SchurConstants(float(c1), float(col.max()), float(c3.max()), float((mu2 @ best_row).max()))
     if trials is None:
-        return constants, None
+        return _Scan(constants, best_row, best_col, None)
 
     p, q = trials.p, trials.q
     col_norms = _lead_norms(col_inner, mu2, q) * K.Y.mass_grid  # (y1, y2)
@@ -308,7 +314,7 @@ def _scan(K, trials: _Trials | None) -> tuple[SchurConstants, float | None]:
     ok = dens > 0
     if np.any(ok):
         best = max(best, float((nums[ok] / dens[ok]).max()))
-    return constants, best
+    return _Scan(constants, best_row, best_col, best)
 
 
 def schur_constants(K: Kernel) -> SchurConstants:
@@ -327,7 +333,7 @@ def schur_constants(K: Kernel) -> SchurConstants:
     finish inside a slab, C2's column integrals are summed across slabs,
     and C4's per-(x2, y2) maxima are gathered before the outer sum over x2.
     """
-    return _scan(K, None)[0]
+    return _scan(K, None).constants
 
 
 def schur_scan(K: Kernel, p, q, trials: int = 64, seed: int = 0) -> tuple[SchurConstants, float]:
@@ -338,7 +344,8 @@ def schur_scan(K: Kernel, p, q, trials: int = 64, seed: int = 0) -> tuple[SchurC
     (and, for a `SlabKernel`, build) every slab twice. Both functions run
     this same per-slab code, so the values are theirs.
     """
-    return _scan(K, _draw_trials(K, p, q, trials, seed))
+    scan = _scan(K, _draw_trials(K, p, q, trials, seed))
+    return scan.constants, scan.lower
 
 
 def schur_bound(c: SchurConstants, p, q) -> float:
@@ -433,9 +440,10 @@ def opnorm_lower_search(K: Kernel, p, q, trials: int = 64, seed: int = 0) -> flo
     """Seeded lower bound for the (p, q) operator norm of Phi_K.
 
     Maximizes mixed_norm(Phi_K f) / mixed_norm(f) over a trial set that always
-    starts with every point mass and the constant function (the corner
-    extremizers), followed by seeded random draws — nonnegative for real
-    kernels, complex Gaussian otherwise — up to `trials` functions in total.
+    holds every point mass and the constant function (the corner
+    extremizers), and seeded random draws — nonnegative for real kernels,
+    complex Gaussian otherwise — up to `trials` functions in total. So it has
+    max(trials, |Y| + 1) functions: 577 at |Y1| = |Y2| = 24 with 64 trials.
     It runs in the single pass of `schur_scan`: each x2-slab is read once,
     the point masses come from its modulus in closed form, and all other
     trials are applied to it as one matmul.

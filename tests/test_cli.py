@@ -428,3 +428,15 @@ def test_bad_arguments_leave_the_parser_usable(tmp_path, capsys):
     capsys.readouterr()
     code, cert, _ = _run(capsys, ["schur", "--kernel", kfile])
     assert code == 0 and cert["seed"] == 0
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "inf", "nan", "0"])
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, tolerance):
+    X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(2))
+    kfile = _write(tmp_path / "k.json", dump_kernel(sk.Kernel(X, X, np.indices((2, 2, 2, 2)).sum(axis=0))))
+    code, cert, err = _run(capsys, ["schur", "--kernel", kfile, "--p", "1", "--q", "inf", "--tolerance", tolerance])
+    if tolerance == "0":
+        assert code == 0 and cert["tolerance"] == 0.0
+    else:  # -1 failed true checks, inf passed every check vacuously
+        assert code == 2 and cert is None
+        assert "argument --tolerance" in err, err

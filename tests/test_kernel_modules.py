@@ -40,6 +40,60 @@ def test_norm_a_matches_dense_integrals_and_schur_constants(slab_bytes, monkeypa
         assert sk.norm_A(K, m) == pytest.approx(max(row, col), rel=1e-13)
 
 
+@pytest.mark.parametrize("slab_bytes", [None, 200])
+def test_norm_b_matches_its_definition(slab_bytes, monkeypatch):
+    if slab_bytes is not None:
+        monkeypatch.setattr(sk.operators, "_SLAB_BYTES", slab_bytes)
+    rng = np.random.default_rng(23)
+    for i in range(20):
+        K = rand_kernel(rng, rand_product(rng, 4), rand_product(rng, 4), complex_values=i % 2 == 1)
+        mu1, mu2 = K.X.factor1.masses, K.X.factor2.masses
+        nu1, nu2 = K.Y.factor1.masses, K.Y.factor2.masses
+        for m in (None, rand_weight_grid(rng, K.X, K.Y)):
+            A = np.abs(K.values) * (1.0 if m is None else m.values)
+            best_row = (A * nu1[None, None, :, None]).sum(axis=2).max(axis=0)  # (x2, y2)
+            best_col = (A * mu1[:, None, None, None]).sum(axis=0).max(axis=1)  # (x2, y2)
+            gamma = np.maximum(best_row, best_col)
+            ref = max((gamma * nu2).sum(axis=1).max(), (gamma * mu2[:, None]).sum(axis=0).max())
+            assert sk.norm_B(K, m) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("slab_bytes", [None, 200])
+def test_slab_kernel_norms_equal_the_dense_kernels(slab_bytes, monkeypatch):
+    if slab_bytes is not None:
+        monkeypatch.setattr(sk.operators, "_SLAB_BYTES", slab_bytes)
+    lazy = sk.counterexample_kernel(3, 4)[0]
+    dense = sk.Kernel(lazy.X, lazy.Y, np.concatenate([vals for _, vals in lazy.slabs()], axis=1))
+    assert sk.norm_A(lazy) == sk.norm_A(dense)
+    assert sk.norm_B(lazy) == sk.norm_B(dense)
+    assert sk.schur_constants(lazy) == sk.schur_constants(dense)
+
+
+@pytest.mark.parametrize("kind", ["dense", "slab"])
+def test_norm_b_holds_one_slab_and_its_modulus(kind):
+    import tracemalloc
+
+    from schurkit.operators import _slab_slices
+
+    rng = np.random.default_rng(24)
+    X = sk.ProductSpace(sk.counting_space(30), sk.counting_space(30))
+    vals = rng.standard_normal((30,) * 4) + 1j * rng.standard_normal((30,) * 4)
+    slabs = _slab_slices(X, X, 16)
+    assert len(slabs) == 2
+    modulus = 30 * max(s.stop - s.start for s in slabs) * X.size * 8
+    if kind == "dense":  # a dense kernel's slabs are views of its array: only the modulus is new
+        K, budget = sk.Kernel(X, X, vals), modulus
+    else:  # each built slab is new too: complex, twice the bytes of its modulus
+        K, budget = sk.SlabKernel(X, X, complex, lambda sl: vals[:, sl].copy()), 3 * modulus
+    tracemalloc.start()
+    try:
+        sk.norm_B(K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15 * budget
+
+
 def test_norm_b_collapses_on_lifted_kernels():
     rng = np.random.default_rng(1)
     for _ in range(15):
