@@ -17,7 +17,7 @@ import numpy as np
 
 from .measure import ProductSpace, Space, counting_space, singleton_space
 from .mixed_norm import GridFunction
-from .operators import Kernel, _scan
+from .operators import Kernel, _require_dense, _scan
 
 __all__ = [
     "WeightGrid",
@@ -86,11 +86,14 @@ def norm_B(K: Kernel, m: WeightGrid | None = None) -> float:
 
 def transpose(K: Kernel) -> Kernel:
     """Swap source and target: K^T(y, x) = K(x, y). No conjugation."""
+    _require_dense(K, "transpose")
     return type(K)(K.Y, K.X, K.values.transpose(2, 3, 0, 1))
 
 
 def compose(K: Kernel, L: Kernel) -> Kernel:
     """Mass-weighted composition: (K . L)(x, z) = sum_y K(x,y) L(y,z) nu({y})."""
+    _require_dense(K, "compose")
+    _require_dense(L, "compose")
     if K.Y != L.X:
         raise ValueError("middle spaces do not match")
     vals = (K.values * K.Y.mass_grid).reshape(K.X.size, K.Y.size) @ L.values.reshape(L.X.size, L.Y.size)

@@ -4,6 +4,12 @@ The norm runs inner-then-outer: an L^p norm over the first factor for each
 fixed second-factor point, then an L^q norm of that profile over the second
 factor. Infinite exponents take the maximum over points, which equals the
 essential supremum because all masses are positive.
+
+Every weighted L^p norm along one axis, here and in `operators`, is taken by
+`lp_norms` under one overflow policy: a plain power sum m @ V**p, with the
+slices whose sum overflows or falls below the smallest normal float redone
+max-scaled, (sum m (v/M)^p)^(1/p) * M for the slice maximum M (Blue, ACM
+TOMS 1978). A slice holding inf gives inf; an all-zero slice gives 0.
 """
 
 from __future__ import annotations
@@ -112,22 +118,31 @@ class GridFunction:
         return f"GridFunction(shape={self.space.shape}, dtype={self.values.dtype})"
 
 
-def _stage(vals: np.ndarray, masses: np.ndarray, p: float, axis: int) -> np.ndarray:
-    # One norm stage along `axis` of a nonnegative array. `masses` must
-    # already be broadcast-shaped for that axis. np.sum is pairwise.
+def lp_norms(V: np.ndarray, m: np.ndarray, p: float, axis: int) -> np.ndarray:
+    """L^p(m) norms of nonnegative V along `axis`, m holding one mass per entry of it.
+
+    The overflow policy is the module docstring's; p = inf takes the maximum.
+    """
     if p == INF:
-        return vals.max(axis=axis)
+        return V.max(axis=axis)
+    if axis % V.ndim:
+        V = np.moveaxis(V, axis, 0)
+    V2 = V.reshape(len(m), -1)
     if p == 1.0:
-        return (vals * masses).sum(axis=axis)
-    # Max-scaled power sum (Blue, ACM TOMS 1978): (sum (v/M)^p m)^(1/p) * M,
-    # so v^p neither overflows for large v or p nor underflows for small v.
-    # M = 1 on all-zero slices; slices holding inf give inf.
-    top = vals.max(axis=axis, keepdims=True)
-    scale = np.where(top > 0.0, top, 1.0)
-    with np.errstate(invalid="ignore"):  # inf / inf in slices that give inf anyway
-        scaled = (((vals / scale) ** p) * masses).sum(axis=axis) ** (1.0 / p)
-    scale = np.squeeze(scale, axis=axis)
-    return np.where(np.isinf(scale), INF, scaled * scale)
+        out = m @ V2
+    else:
+        with np.errstate(over="ignore", under="ignore"):
+            power_sum = m @ V2**p
+        out = power_sum ** (1.0 / p)
+        bad = np.isinf(power_sum) | (power_sum < np.finfo(float).tiny)
+        if np.any(bad):
+            top = V2[:, bad].max(axis=0)
+            redo = (top > 0.0) & (top < INF)  # all-zero slices are exact, inf slices stay inf
+            bad[bad] = redo
+            top = top[redo]
+            with np.errstate(under="ignore"):
+                out[bad] = (m @ (V2[:, bad] / top) ** p) ** (1.0 / p) * top
+    return out.reshape(V.shape[1:])
 
 
 def mixed_norm_values(g: np.ndarray, m1: np.ndarray, m2: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -136,8 +151,7 @@ def mixed_norm_values(g: np.ndarray, m1: np.ndarray, m2: np.ndarray, p: float, q
     Accepts arbitrary leading batch axes; used directly by the operator-norm
     search so that many trial functions can be reduced in one shot.
     """
-    inner = _stage(g, m1[:, None], p, axis=-2)
-    return _stage(inner, m2, q, axis=-1)
+    return lp_norms(lp_norms(g, m1, p, axis=-2), m2, q, axis=-1)
 
 
 def _weight_values(space: ProductSpace, w) -> np.ndarray:
@@ -215,10 +229,10 @@ def dual_extremizer(f: GridFunction, p, q) -> GridFunction:
     m1 = f.space.factor1.masses
     m2 = f.space.factor2.masses
 
-    inner = _stage(F, m1[:, None], p, axis=-2)  # per-slice L^p norms
+    inner = lp_norms(F, m1, p, axis=0)  # per-slice L^p norms
     g0 = _slice_extremizer(F, inner, m1, p)
 
-    total = _stage(inner, m2, q, axis=-1)
+    total = lp_norms(inner, m2, q, axis=0)
     h = np.zeros(len(m2))
     if total > 0:
         if q == 1.0:

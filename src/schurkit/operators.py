@@ -19,7 +19,8 @@ and each loop drops the slab, its modulus and its per-slab partials before
 it asks for the next one. All but `apply_kernel` run one scan, `_scan`: each
 slab is read once and its modulus taken once, and the mass-weighted sums
 over it are matrix contractions (gemv and a batched matmul) rather than
-broadcast products of the slab's full shape.
+broadcast products of the slab's full shape; its L^p norms are
+`mixed_norm.lp_norms`, under that module's one overflow policy.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .measure import ProductSpace
-from .mixed_norm import INF, GridFunction, check_exponent, mixed_norm_values
+from .mixed_norm import INF, GridFunction, _weight_values, check_exponent, lp_norms, mixed_norm_values
 
 __all__ = [
     "Kernel",
@@ -163,6 +164,11 @@ class SlabKernel:
         return f"SlabKernel(X={self.X.shape}, Y={self.Y.shape}, dtype={self.dtype})"
 
 
+def _require_dense(K, name: str) -> None:
+    if not isinstance(K, Kernel):
+        raise TypeError(f"{name} needs a dense Kernel, got {type(K).__name__}")
+
+
 class SchurConstants(NamedTuple):
     """The four mixed-norm Schur constants of a kernel."""
 
@@ -188,32 +194,6 @@ def apply_kernel(K: Kernel, f: GridFunction) -> GridFunction:
         out[:, sl] = _apply_slab(vals, g)
         del vals  # one slab alive while the next is built
     return GridFunction(K.X, out)
-
-
-def _lead_norms(V: np.ndarray, m: np.ndarray, p: float) -> np.ndarray:
-    """L^p(m) norms of nonnegative V along its leading axis, as a contraction for p < inf.
-
-    The power sum is plain where it is finite and normal. Columns whose sum
-    overflows, or underflows below the smallest normal float while the
-    column is nonzero, are redone max-scaled, as in `mixed_norm._stage`.
-    """
-    V2 = V.reshape(len(m), -1)
-    if p == INF:
-        out = V2.max(axis=0)
-    elif p == 1.0:
-        out = m @ V2
-    else:
-        with np.errstate(over="ignore", under="ignore"):
-            power_sum = m @ V2**p
-        out = power_sum ** (1.0 / p)
-        bad = np.isinf(power_sum) | (power_sum < np.finfo(float).tiny)
-        if np.any(bad):
-            top = V2[:, bad].max(axis=0)
-            bad[bad] = top > 0.0  # all-zero columns are exact as they are
-            top = top[top > 0.0]
-            with np.errstate(under="ignore"):
-                out[bad] = (m @ (V2[:, bad] / top) ** p) ** (1.0 / p) * top
-    return out.reshape(V.shape[1:])
 
 
 class _Trials(NamedTuple):
@@ -267,7 +247,8 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
     The lower search takes the point masses in closed form: the image of a
     unit spike at (c, d) is the (c, d) column of K times nu(c, d), so its
     norm is nu(c, d) times the mixed norm of |K|[..., c, d]. The constant and
-    random trials are applied to each slab as one matmul.
+    random trials are applied to each slab as one matmul. Every L^p norm
+    here, over x1 in a slab or over x2 at the end, is `lp_norms`.
     """
     mu1 = K.X.factor1.masses
     mu2 = K.X.factor2.masses
@@ -292,24 +273,24 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
         A2 = A.reshape(-1, K.Y.size)
         col += K.X.mass_grid[:, sl].reshape(-1) @ A2
         c1 = max(c1, (A2 @ K.Y.mass_grid.reshape(-1)).max())
-        s1 = _lead_norms(A, mu1, 1.0)  # (x2, y1, y2): sum_{x1} mu1 |K|
+        s1 = lp_norms(A, mu1, 1.0, axis=0)  # (x2, y1, y2): sum_{x1} mu1 |K|
         slab_cols = s1.max(axis=1)
         c3[sl] = slab_cols @ nu2
         best_col[sl] = slab_cols
         best_row[sl] = (nu1 @ A.reshape(n1 * w, n1y, n2y)).reshape(n1, w, n2y).max(axis=0)
         if trials is not None:
-            col_inner[sl] = s1 if trials.p == 1.0 else _lead_norms(A, mu1, trials.p)
-            img_inner[sl] = _lead_norms(np.abs(_apply_slab(vals, trials.weighted)), mu1, trials.p)
+            col_inner[sl] = s1 if trials.p == 1.0 else lp_norms(A, mu1, trials.p, axis=0)
+            img_inner[sl] = lp_norms(np.abs(_apply_slab(vals, trials.weighted)), mu1, trials.p, axis=0)
         del vals, A, A2, s1  # one slab and its modulus alive while the next is built
     constants = SchurConstants(float(c1), float(col.max()), float(c3.max()), float((mu2 @ best_row).max()))
     if trials is None:
         return _Scan(constants, best_row, best_col, None)
 
     p, q = trials.p, trials.q
-    col_norms = _lead_norms(col_inner, mu2, q) * K.Y.mass_grid  # (y1, y2)
+    col_norms = lp_norms(col_inner, mu2, q, axis=0) * K.Y.mass_grid  # (y1, y2)
     pm_norms = np.multiply.outer(nu1 ** (1.0 / p), nu2 ** (1.0 / q))
     best = float((col_norms / pm_norms).max())
-    nums = _lead_norms(img_inner, mu2, q)
+    nums = lp_norms(img_inner, mu2, q, axis=0)
     dens = mixed_norm_values(np.abs(trials.batch), nu1, nu2, p, q)
     ok = dens > 0
     if np.any(ok):
@@ -370,8 +351,7 @@ def weighted_kernel(K: Kernel, v, w) -> Kernel:
     The identity v * (Phi_K f) = Phi_{K_{v,w}} (w * f) holds exactly, which is
     how weighted operator bounds reduce to unweighted ones.
     """
-    from .mixed_norm import _weight_values
-
+    _require_dense(K, "weighted_kernel")
     vv = _weight_values(K.X, v)
     wv = _weight_values(K.Y, w)
     vals = K.values * vv[:, :, None, None] / wv[None, None, :, :]
@@ -405,6 +385,7 @@ def corner_opnorm(K: Kernel, p, q) -> float:
     point.
     """
     p, q = _corner_exponents(p, q)
+    _require_dense(K, "corner_opnorm")
     if not K.is_nonnegative:
         raise ValueError("corner_opnorm requires a nonnegative real kernel")
     Kv = K.values

@@ -326,10 +326,27 @@ def test_slabbed_kernel_matches_one_shot_references(complex_values, monkeypatch)
             assert got == pytest.approx(ref, rel=1e-13)
 
 
+def _broadcast_stage(vals, masses, p, axis):
+    # one max-scaled norm stage along `axis`, with `masses` broadcast-shaped for
+    # it: the broadcast-multiply-sum reduction mixed_norm took before it shared
+    # `lp_norms` with the Schur scan
+    if p == INF:
+        return vals.max(axis=axis)
+    if p == 1.0:
+        return (vals * masses).sum(axis=axis)
+    top = vals.max(axis=axis, keepdims=True)
+    scale = np.where(top > 0.0, top, 1.0)
+    with np.errstate(invalid="ignore"):  # inf / inf in slices that give inf anyway
+        scaled = (((vals / scale) ** p) * masses).sum(axis=axis) ** (1.0 / p)
+    scale = np.squeeze(scale, axis=axis)
+    return np.where(np.isinf(scale), INF, scaled * scale)
+
+
 def _two_pass_reference(K, p, q, trials, seed):
     # the two slab loops schur_constants and opnorm_lower_search ran before they
     # shared one pass, with broadcast-multiply-sum reductions over each slab
-    from schurkit.mixed_norm import _stage, mixed_norm_values
+    def mixed_norm_values(g, m1, m2, p, q):
+        return _broadcast_stage(_broadcast_stage(g, m1[:, None], p, axis=-2), m2, q, axis=-1)
 
     mu1, mu2 = K.X.factor1.masses, K.X.factor2.masses
     nu1, nu2 = K.Y.factor1.masses, K.Y.factor2.masses
@@ -361,10 +378,10 @@ def _two_pass_reference(K, p, q, trials, seed):
     images = []
     for sl, vals in K.slabs():
         cols = np.moveaxis(np.abs(vals) * K.Y.mass_grid, (2, 3), (0, 1))
-        col_inner[..., sl] = _stage(cols, mu1[:, None], p, axis=-2)
+        col_inner[..., sl] = _broadcast_stage(cols, mu1[:, None], p, axis=-2)
         n1, w = vals.shape[:2]
         images.append((vals.reshape(n1 * w, -1) @ weighted).reshape(n1, w, -1))
-    col_norms = _stage(col_inner, mu2, q, axis=-1)
+    col_norms = _broadcast_stage(col_inner, mu2, q, axis=-1)
     best = (col_norms / np.multiply.outer(nu1 ** (1.0 / p), nu2 ** (1.0 / q))).max()
     out = np.moveaxis(np.concatenate(images, axis=1), -1, 0)
     nums = mixed_norm_values(np.abs(out), mu1, mu2, p, q)
@@ -541,13 +558,13 @@ def test_lower_search_at_extreme_magnitudes(value):
     assert lower <= sk.schur_bound(c, 2, 2)
 
 
-def test_lead_norms_rescales_only_columns_that_leave_the_normal_range():
-    from schurkit.operators import _lead_norms
+def test_lp_norms_rescale_only_columns_that_leave_the_normal_range():
+    from schurkit.mixed_norm import lp_norms
 
     m = np.array([0.5, 2.0])
     V = np.array([[1e200, 2.0, 0.0, 1e-200], [3e200, 5.0, 0.0, 0.0]])
     with np.errstate(all="raise"):
-        got = _lead_norms(V, m, 2.0)
+        got = lp_norms(V, m, 2.0, axis=0)
     plain = (m @ V[:, 1] ** 2) ** 0.5
     assert got[1] == plain  # a column in range keeps the plain contraction
     assert got[2] == 0.0

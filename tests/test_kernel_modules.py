@@ -10,6 +10,7 @@ from conftest import (
     rand_kernel,
     rand_positive,
     rand_product,
+    rand_space,
     rand_weight_grid,
 )
 
@@ -335,3 +336,22 @@ def test_weight_domination_constant_checks_spaces():
     v = sk.GridFunction(X, np.ones(X.shape))
     with pytest.raises(ValueError):
         sk.weight_domination_constant(v, v, m)
+
+
+def test_dense_only_functions_refuse_a_slab_kernel():
+    rng = np.random.default_rng(31)
+    X = sk.ProductSpace(rand_space(rng, 2), rand_space(rng, 3))
+    K = sk.Kernel(X, X, rng.random(X.shape + X.shape))
+    lazy = sk.SlabKernel(X, X, K.dtype, lambda sl: K.values[:, sl])  # square, so compose's spaces chain
+    ones = np.ones(X.shape)
+    refused = [
+        ("transpose", lambda: sk.transpose(lazy)),
+        ("transpose", lambda: sk.transpose(sk.counterexample_kernel(3, 4)[0])),
+        ("compose", lambda: sk.compose(lazy, K)),
+        ("compose", lambda: sk.compose(K, lazy)),
+        ("weighted_kernel", lambda: sk.weighted_kernel(lazy, ones, ones)),
+        ("corner_opnorm", lambda: sk.corner_opnorm(lazy, 1, 1)),
+    ]
+    for name, call in refused:
+        with pytest.raises(TypeError, match=f"{name} needs a dense Kernel"):
+            call()

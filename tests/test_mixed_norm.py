@@ -224,3 +224,46 @@ def test_homogeneity_over_extreme_magnitudes_and_exponents(log_vals, log_c, p, q
     n = sk.mixed_norm(f, p, q)
     assert 0.0 < n < INF
     assert sk.mixed_norm(f * c, p, q) == pytest.approx(c * n, rel=1e-12, abs=0.0)
+
+
+def _max_scaled_reference(V, m, p, axis):
+    # per slice in Python floats: M * (fsum m (v/M)^p)^(1/p) with M the slice
+    # maximum; all-zero and inf slices give their maximum
+    lines = np.moveaxis(V, axis, -1)
+    out = np.empty(lines.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        v = [float(x) for x in lines[idx]]
+        top = max(v)
+        if p == INF or top in (0.0, INF):
+            out[idx] = top
+        else:
+            out[idx] = top * math.fsum(float(w) * (x / top) ** p for x, w in zip(v, m)) ** (1.0 / p)
+    return out
+
+
+@pytest.mark.parametrize("scale", ["unit", "tiny", "huge", "wide"])
+@pytest.mark.parametrize("axis", [0, 1, 2, -1, -2])
+@pytest.mark.parametrize("p", [*EXPONENT_GRID, 700.0])
+def test_lp_norms_match_max_scaled_reference(scale, axis, p):
+    from schurkit.mixed_norm import lp_norms
+
+    rng = np.random.default_rng([7, axis % 3, ["unit", "tiny", "huge", "wide"].index(scale)])
+    shape = (3, 4, 5)
+    V = {
+        "unit": lambda: rng.random(shape),
+        "tiny": lambda: 1e-300 * rng.random(shape),
+        "huge": lambda: 1e300 * rng.random(shape),
+        "wide": lambda: 10.0 ** rng.uniform(-300.0, 300.0, shape),
+    }[scale]()
+    V[0, 0, :] = V[0, :, 0] = V[:, 0, 0] = 0.0  # an all-zero slice along every axis
+    V[2, 3, 4] = INF  # and one holding inf
+    m = 0.2 + rng.random(shape[axis])
+    with np.errstate(all="raise"):
+        got = lp_norms(V, m, p, axis=axis)
+    lines = np.moveaxis(V, axis, -1)
+    zero = ~lines.any(axis=-1)
+    hot = np.isinf(lines).any(axis=-1)
+    assert zero.any() and hot.any()
+    assert np.all(got[zero] == 0.0)
+    assert np.all(got[hot] == INF)
+    np.testing.assert_allclose(got, _max_scaled_reference(V, m, p, axis), rtol=1e-13, atol=0.0)

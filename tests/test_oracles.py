@@ -86,14 +86,25 @@ def test_brute_sum_norm_upper_sandwich():
         assert upper <= 16.0 * target * (1 + 1e-12) + 1e-15
 
 
-def _candidates_per_trial(F, trials, seed):
+def _mixed_norm(part, space, p, q):
+    return sk.mixed_norm(sk.GridFunction(space, part), p, q)
+
+
+def _broadcast_corner_norm(part, space, p, q):
+    # a corner mixed norm summed as the oracle sums it: broadcast multiply, then sum
+    a = np.abs(part)
+    inner = (a * space.factor1.masses[:, None]).sum(axis=0) if p == 1 else a.max(axis=0)
+    return (inner * space.factor2.masses).sum() if q == 1 else inner.max()
+
+
+def _candidates_per_trial(F, trials, seed, norm=_mixed_norm):
     """Norm sums of the oracle's candidates in its order, one at a time,
-    each part through GridFunction and mixed_norm."""
+    each part measured by `norm` (by default through GridFunction and mixed_norm)."""
     space = F.space
     exponents = [(1, 1), (INF, INF), (1, INF), (INF, 1)]
 
     def norm_sum(parts):
-        return sum(sk.mixed_norm(sk.GridFunction(space, part), p, q) for part, (p, q) in zip(parts, exponents))
+        return sum(norm(part, space, p, q) for part, (p, q) in zip(parts, exponents))
 
     sums = [sum(sk.split_four(F).corner_norms())]
     zero = np.zeros(space.shape)
@@ -128,8 +139,9 @@ def test_sum_norm_upper_matches_per_trial_reference(shape, complex_values, monke
             seen.clear()
             got = sk.brute_sum_norm_upper(F, trials=trials, seed=7)
             np.testing.assert_allclose(np.concatenate(seen), want[1:], rtol=1e-15, atol=0.0)
-            if not complex_values:  # |F * w| = |F| * w exactly, and the stages reduce in the same order
-                np.testing.assert_array_equal(np.concatenate(seen), want[1:])
+            if not complex_values:  # |F * w| = |F| * w exactly, and the reference sums in the oracle's order
+                exact = _candidates_per_trial(F, trials, seed=7, norm=_broadcast_corner_norm)
+                np.testing.assert_array_equal(np.concatenate(seen), exact[1:])
             assert got == pytest.approx(want.min(), rel=1e-15, abs=0.0)
 
 
