@@ -352,6 +352,15 @@ def test_array_emit_holds_the_text_about_twice():
     assert peak <= 2 * len(text) + 32 * jsonio._EMIT_BLOCK
 
 
+def test_array_emit_holds_one_subarray_text_per_piece():
+    # a 24^4 array is past _EMIT_BLOCK: no piece may hold the whole text
+    vals = np.random.default_rng(6).standard_normal((24,) * 4)
+    pieces = []
+    jsonio._emit_array(vals, pieces)
+    assert "".join(pieces) == dumps_json(vals)
+    assert max(map(len, pieces)) <= max(len(dumps_json(sub)) for sub in vals)
+
+
 def test_array_emit_keeps_inf_and_refuses_nan():
     assert dumps_json({"a": np.array([[1.0, np.inf], [-np.inf, 0.5]])}) == (
         '{\n  "a": [[1, "inf"], ["-inf", 0.5]]\n}'

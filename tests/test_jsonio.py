@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -33,6 +34,7 @@ VALID = [
     ' "re" ',
     "null",
     '{"re": [1, 2], "im": [[1, 2], [3, 4]]}',
+    '{"X": {"points": ["µ", "aµb"]}, "µ": "µµµ", "re": [[1.5, -2]]}',
 ]
 
 INVALID = [
@@ -59,6 +61,10 @@ INVALID = [
     '{"im": [1, "x"]}',
     '{"re": [{"a": 1}]}',
     '{"re": [1], "im": [' + "[" * 100_000 + "0" + "]" * 100_000 + "]}",
+    b'{"re": [1, 2\xff]}',
+    b'{"X": "\xc2\xb5\xb5", "re": [1]}',
+    b'{"re": [1]} \xe2\x82',
+    b'{"abcdefg": "\xe2\x82\xe2\x82\xac"}',
 ]
 
 
@@ -85,29 +91,80 @@ def _assert_same(got, want):
         assert type(got) is type(want) and got == want
 
 
-@pytest.mark.parametrize("block", [None, 1, 12])
+def _read_file(text, read, monkeypatch, tmp_path):
+    """(object, digest) of `text` read by `cli._read_json` in chunks of `read` bytes."""
+    monkeypatch.setattr(cli, "_READ_CHUNK", read)
+    path = tmp_path / "doc.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    obj, digest = cli._read_json(str(path))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    return obj
+
+
+# (float block, file read size): a document given whole, with several float
+# blocks per array, or read from a file in chunks that split elements, keys
+# and multi-byte characters
+@pytest.mark.parametrize(
+    "block, read",
+    [(None, None), (1, None), (12, None), (None, 1), (None, 7)],
+    ids=["None", "1", "12", "read1", "read7"],
+)
 @pytest.mark.parametrize("text", VALID)
-def test_reader_matches_json_loads(text, block, monkeypatch):
+def test_reader_matches_json_loads(text, block, read, monkeypatch, tmp_path):
     if block is not None:  # several float blocks per array
         monkeypatch.setattr(jsonio, "_BLOCK_CHARS", block)
-    _assert_same(loads_json(text), _reference(text))
+    got = loads_json(text) if read is None else _read_file(text, read, monkeypatch, tmp_path)
+    _assert_same(got, _reference(text))
 
 
-@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize(
+    "block, read", [(None, None), (1, None), (None, 1), (None, 7)], ids=["None", "1", "read1", "read7"]
+)
 @pytest.mark.parametrize("text", INVALID)
-def test_reader_refuses_what_json_loads_refuses(text, block, monkeypatch, tmp_path, capsys):
+def test_reader_refuses_what_json_loads_refuses(text, block, read, monkeypatch, tmp_path, capsys):
     if block is not None:
         monkeypatch.setattr(jsonio, "_BLOCK_CHARS", block)
-    errors = (ValueError, TypeError, RecursionError)
+    errors = (ValueError, TypeError, RecursionError)  # UnicodeDecodeError is a ValueError
     with pytest.raises(errors):
         _reference(text)
-    with pytest.raises(errors):
-        loads_json(text)
+    if read is not None:
+        with pytest.raises(errors) as err:
+            _read_file(text, read, monkeypatch, tmp_path)
+        if isinstance(text, bytes):  # invalid UTF-8, its position counted in the file, not in a chunk
+            with pytest.raises(UnicodeDecodeError) as want:
+                text.decode("utf-8")
+            assert (err.value.start, err.value.end, err.value.reason) == (want.value.start, want.value.end, want.value.reason)
+    elif isinstance(text, str):  # bytes reach the parser only through the file reader
+        with pytest.raises(errors):
+            loads_json(text)
     path = tmp_path / "bad.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert cli.run(["schur", "--kernel", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("read", [None, 1, 7])
+@pytest.mark.parametrize("fault", ["element", "member"])
+def test_errors_report_document_positions(fault, read, monkeypatch, tmp_path):
+    # one "re" element per line, the fault more than three read chunks in
+    chunk = cli._READ_CHUNK if read is None else read
+    n = max(50, chunk // 16)
+    values = [[i + 0.25] * 8 for i in range(n)]
+    values[-n // 5][3] = 7777.5
+    text = '{"X": {"points": ["µ", 1]},\n "re": ' + json.dumps(values).replace("], [", "],\n  [") + ',\n "Y": 0}'
+    if fault == "element":
+        text = text.replace("7777.5", "7777.5.5")
+    else:
+        text = text.replace('"Y":', '"Y"')
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    assert want.value.pos > 3 * chunk
+    for got in (lambda: loads_json(text), lambda: _read_file(text, chunk, monkeypatch, tmp_path)):
+        with pytest.raises(json.JSONDecodeError) as err:
+            got()
+        assert str(err.value) == str(want.value)
+        assert (err.value.pos, err.value.lineno, err.value.colno) == (want.value.pos, want.value.lineno, want.value.colno)
 
 
 def test_complex_assembly_keeps_signed_zeros():
@@ -115,7 +172,9 @@ def test_complex_assembly_keeps_signed_zeros():
     Y = sk.ProductSpace(sk.counting_space(1), sk.counting_space(3))
     text = json.dumps({"X": dump_product(X), "Y": dump_product(Y),
                        "re": [[[[-0.0, 1.0, -0.0]]]], "im": [[[[0.0, -0.0, -2.0]]]]})
-    values = load_kernel(loads_json(text)).values.ravel()
+    obj = loads_json(text)
+    values = load_kernel(obj).values.ravel()
+    assert np.array_equal(load_kernel(obj).values.ravel(), values)  # the caller's object is left as it was
     # re + 1j * im made the first real part and the second imaginary part +0.0
     assert np.signbit(values.real).tolist() == [True, False, True]
     assert np.signbit(values.imag).tolist() == [False, True, True]
@@ -127,7 +186,7 @@ def test_loading_a_complex_kernel_holds_no_float_tree(tmp_path):
     K = sk.Kernel(X, X, rng.standard_normal(X.shape * 2) + 1j * rng.standard_normal(X.shape * 2))
     path = tmp_path / "k.json"
     path.write_text(dumps_json(dump_kernel(K)))
-    size, values, mib = path.stat().st_size, K.values.nbytes, 2**20
+    values, mib = K.values.nbytes, 2**20
     tracemalloc.start()
     try:
         loaded = cli._Inputs().load("kernel", str(path), load_kernel)
@@ -140,7 +199,9 @@ def test_loading_a_complex_kernel_holds_no_float_tree(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(loaded.values, K.values)
-    assert load_peak <= 2 * size + 2 * values + mib
+    # the complex array and the copy `Kernel` makes of it, and the window of
+    # text the reader scans: not the file, which is three read chunks here
+    assert load_peak <= 2 * values + 2 * cli._READ_CHUNK + mib
     # beside the text: "re" and "im" (one array's worth), the concatenated
     # copy of one of them, and one block of nested lists; json.loads' nested
     # lists of Python floats alone take about five times the values here
