@@ -15,6 +15,7 @@ import argparse
 import codecs
 import functools
 import hashlib
+import os
 import sys
 
 import numpy as np
@@ -69,7 +70,9 @@ _UTF8 = codecs.getincrementaldecoder("utf-8")
 def _read_json(path: str) -> tuple:
     """Parse a UTF-8 JSON file; returns (object, sha256 of its bytes).
 
-    The file is read `_READ_CHUNK` bytes at a time. Each chunk is hashed
+    The file is read `_READ_CHUNK` bytes at a time, but never more than one
+    byte past its end: a read allocates what it asks for before it shrinks
+    it to what it got, 1 MiB for a file of 789 bytes. Each chunk is hashed
     and decoded, and `loads_json` scans the text as it arrives, so neither
     the file's bytes nor its text exist whole: inputs reach about 13 MB.
     Invalid UTF-8 raises `UnicodeDecodeError` with its position counted in
@@ -80,10 +83,11 @@ def _read_json(path: str) -> tuple:
     decoder = _UTF8()
     offset = 0  # bytes read before the current chunk
     with open(path, "rb", buffering=0) as fh:  # unbuffered: the reads are large, and small files read faster
+        end = os.fstat(fh.fileno()).st_size
 
         def chunk():  # the next chunk's text, None at the end; holds nothing between calls
             nonlocal offset
-            data = fh.read(_READ_CHUNK)
+            data = fh.read(max(1, min(end - offset + 1, _READ_CHUNK)))
             digest.update(data)
             try:
                 text = decoder.decode(data, final=not data)  # the final call raises if the file ends inside a character

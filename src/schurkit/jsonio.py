@@ -10,13 +10,18 @@ whole either. `dumps_json` is a hand-rolled serializer emitting floats
 with 17 significant digits (round-trip exact in double precision) and
 infinities as the string "inf"; byte-identical output for identical data is
 part of the contract. Dumped functions and kernels keep their values as
-float64 arrays, which `dumps_json` formats a block of rows at a time; an
-array's text is kept one leading-axis sub-array per piece. Loaders leave
-the object they are given as it was, except the CLI's `_Owned` objects.
+float64 arrays, which `dumps_json` formats with numpy a block of values
+at a time (see `_Formatter`), into the text '%.17g' gives: the 17 digits
+come from a single long double rounding of |x| * 10^(16 - e), and a value
+that rounding cannot settle, or that lies outside the range where 10^|16 -
+e| is exact, is formatted by '%.17g' itself. An array's text is kept one
+leading-axis sub-array per piece. Loaders leave the object they are given
+as it was, except the CLI's `_Owned` objects.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Iterable
@@ -59,6 +64,8 @@ _ws = WHITESPACE.match
 _FLOAT_MEMBERS = ("re", "im")
 _FLOATS = object()  # the value `_member` gives a "re"/"im" array, which `_scan_floats` scans
 _BLOCK_CHARS = 1 << 18  # text of the elements scanned into Python floats before they are packed
+_CUT = len("-Infinit")  # the most of a token a failure cut off by the window can lie before its end
+_UNTERMINATED = "Unterminated string starting at"
 
 
 def loads_json(text: str | Iterable[str]):
@@ -171,10 +178,13 @@ class _Window:
         """(value, end) of `scan_once(s, idx)`, a C scanner call, reading more
         text until the result cannot depend on the text not yet read.
 
-        A failure, or a value that ends within two characters of the end of
-        the window, is retried with twice the text ahead, so a value longer
-        than a chunk costs a bounded number of scans; a failure is final at
-        the end of the input.
+        A value that ends within two characters of the end of the window is
+        retried with twice the text ahead, and so is a failure that the end
+        of the window may have caused: one within `_CUT` characters of it,
+        where a literal, number or \\uXXXX escape may be cut off, or an
+        unterminated string, reported where the string starts. So a value
+        longer than a chunk costs a bounded number of scans. Any other
+        failure is final at once, and every failure at the end of the input.
         """
         while True:
             s = self.s
@@ -187,7 +197,8 @@ class _Window:
             else:  # a number cut off by the window scans short ("1e-" as 1): "e-" is the longest such rest
                 if result[1] < len(s) - 2 or self.done:
                     return result
-            if self.done:
+                failure = None
+            if self.done or failure and failure[1] < len(s) - _CUT and failure[0] != _UNTERMINATED:
                 raise self.error(*failure) from None
             idx = self.fill(idx, 2 * (len(self.s) - idx))
 
@@ -427,49 +438,270 @@ def _format_number(x: float) -> str:
     return format(x, ".17g")
 
 
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_ESCAPES)
 
 
-_EMIT_BLOCK = 1 << 14  # values turned into Python floats at a time: 128 KiB as float64
+_EMIT_BLOCK = 1 << 12  # values formatted at a time; `_Formatter` holds about 130 bytes a value
+
+# `_Formatter` formats float64 values as '%.17g' does, with numpy. Each value
+# is a row of 64-bit words: its number in the first four (byte columns in
+# `_layouts`), then the brackets and ", " that follow it.
+_EXACT = np.finfo(np.longdouble).nmant >= 63  # 10^s for 0 <= s <= 27 is exact: 5^27 < 2^63
+_E_MIN, _E_MAX = -11, 43  # decimal exponents laid out: those of 1e-10 <= |x| < 1e42, and one more each way
+_LAYOUTS = (_E_MAX - _E_MIN + 1) * 17
+
+
+@functools.cache
+def _tables() -> tuple:
+    """(10^0 .. 10^27 as long doubles, b"0000" .. b"9999" as 32-bit words,
+    the trailing zeros of each, and the three `_layouts` tables), built on
+    first use: a command that prints no array does not pay about 1 MB of
+    RSS and 4 ms for them."""
+    pow10 = np.multiply.accumulate(np.array([1] + [10] * 27, dtype=np.longdouble))
+    quad = np.arange(10**4, dtype=np.uint16)
+    quads = (quad[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
+    quads = quads.view(np.uint32).ravel()
+    trailing = sum(quad % 10**k == 0 for k in range(1, 5))
+    tables = (pow10, quads, trailing, *_layouts())
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _layouts() -> tuple:
+    """(keep-A mask, keep-B mask, constant bytes) of a row's five words, one
+    row per layout `_LAYOUTS` * sign + (e - _E_MIN) * 17 + last, where e is
+    the decimal exponent and digit `last` the last that is not a trailing
+    zero.
+
+    Column 0 holds the sign. Digit j is at column 7 + j in the "A" copy of
+    the digits and at 8 + j in the "B" copy, one byte further on: digits
+    before the point come from A, those after it from B, and the point sits
+    at 8 + q after digit q. As '%g' lays them out: fixed notation for
+    -4 <= e < 17, with "0." and -e - 1 zeros in columns 6 + e to 6 when e is
+    negative; otherwise "d.ddd" and "e+XX" in columns 25 to 28; trailing
+    zeros of the fraction, and then a bare point, dropped.
+    """
+    e = np.arange(_E_MIN, _E_MAX + 1)[:, None, None]
+    last = np.arange(17)[:, None]
+    col = np.arange(40)
+    fixed = (e >= -4) & (e < 17)
+    q = np.where(fixed, e, 0)  # the digit the point follows; the point comes first if negative
+    a = (col >= 7) & (col <= 7 + np.where(q >= 0, q, last))
+    b = (q >= 0) & (col >= 9 + q) & (col <= 8 + last)
+    const = np.zeros(a.shape, dtype=np.uint8)  # in bytes: the tables are built mid-run, among the texts
+    const[(q >= 0) & (last > q) & (col == 8 + q)] = ord(".")
+    lead = fixed & (e < 0) & (col >= 6 + e) & (col <= 6)
+    np.copyto(const, np.where(col == 7 + e, ord("."), ord("0")), where=lead, casting="unsafe")
+    mag = np.abs(e)
+    for k, byte in enumerate([ord("e"), np.where(e < 0, ord("-"), ord("+")), ord("0") + mag // 10, ord("0") + mag % 10]):
+        np.copyto(const[..., 25 + k : 26 + k], byte, where=~fixed, casting="unsafe")
+    minus = const.copy()
+    minus[..., 0] = ord("-")
+    tables = (np.concatenate([a, a]) * np.uint8(255), np.concatenate([b, b]) * np.uint8(255), np.concatenate([const, minus]))
+    return tuple(t.reshape(-1, 40).view(np.uint64) for t in tables)
+
+
+class _Formatter:
+    """The '%.17g' texts of float64 values up to `size` at a time, nested in
+    the brackets of arrays of shape `unit`.
+
+    A value's row holds its number and, after it, its closing brackets, ", "
+    and the next value's opening brackets; bytes a row leaves unused are NUL,
+    and the text keeps the others. The buffers are allocated once and reused
+    through `out=`, so a block allocates little but its texts. Freed, they
+    leave a hole below the texts that adds to the peak RSS, so the numbers
+    are worked out inside the three row buffers before these are filled:
+    replaying `kernel_cert`'s certificates peaked at 56.1 MB with per-row
+    formatting, 63.7 MB with separate buffers for 16,384 values, and
+    57.6 MB with these, for 4,096.
+    """
+
+    def __init__(self, size: int, unit: tuple) -> None:
+        self.unit, self.unit_size = unit, math.prod(unit)
+        words = 4 + -(-2 * len(unit) // 8)  # "]" per axis, then ", " and "[" per axis but one
+        self.pow10, self.quad_text, self.trailing_zeros, *tables = _tables()
+        self.tables = [t if words == 5 else np.pad(t, ((0, 0), (0, words - 5))) for t in tables]
+        self.rows, self.digits, self.work = np.zeros((3, size, words), dtype=np.uint64)  # digits: the A copy
+        self.layout = np.empty(size, dtype=np.intp)
+        self.flags = np.empty((3, size), dtype=bool)
+        # each is dead before the buffer it lies in is written (see `_numbers`)
+        [self.p], [self.quads] = _carve(self.rows, ((2, size), np.longdouble)), _carve(self.rows, ((5, size), np.intp))
+        self.x, self.ints = _carve(self.digits, ((2, size), float), ((3, size), np.int64))
+        self.trailing, self.chars = _carve(self.work, ((size,), np.intp), ((5, size), np.uint32))
+        self.tail = (0, 0, None)  # (first position, count, tail words) of the last values formatted
+
+    def texts(self, v: np.ndarray, pos: int) -> list:
+        """Texts of values `v` from position `pos` of a unit: one per unit
+        they end, or one of the part of a unit they hold."""
+        n = len(v)
+        rows = self._numbers(v)
+        rows[:, 4:] = self._tail(pos, n)
+        raw = rows.view(np.uint8).reshape(-1)
+        keep = np.not_equal(raw, 0, out=self.digits.view(bool).reshape(-1)[: raw.size])
+        ends = np.cumsum([np.count_nonzero(part) for part in keep.reshape(max(1, n // self.unit_size), -1)]).tolist()
+        text = np.compress(keep, raw, out=self.work.view(np.uint8).reshape(-1)[: ends[-1]])
+        return [str(text[i:j], "ascii") for i, j in zip([0] + ends, ends)]
+
+    def _tail(self, pos: int, n: int) -> np.ndarray:
+        """Tail words of the values at positions pos .. pos + n - 1 of the unit:
+        "]" per axis the value ends, then ", " and as many "[" unless it ends
+        the unit."""
+        if self.tail[0] != pos or self.tail[1] < n:
+            closes = np.zeros(n, dtype=np.intp)
+            span, at = 1, pos + np.arange(n)
+            for size in reversed(self.unit):
+                span *= size
+                closes += (at + 1) % span == 0
+            depth = len(self.unit)
+            texts = [("]" * c + ", " + "[" * c).encode() for c in range(depth)] + [b"]" * depth]
+            words = self.rows.shape[1] - 4
+            table = np.array(texts, dtype=f"S{8 * words}").view(np.uint64).reshape(-1, words)
+            self.tail = (pos, n, table[closes])
+        return self.tail[2][:n]
+
+    def _numbers(self, v: np.ndarray) -> np.ndarray:
+        """Rows of `v` with the number in the first four words.
+
+        The decimal exponent e comes from `log10`, corrected so that
+        10^16 <= |x| * 10^(16-e) < 10^17, and the 17 digits are the integer D
+        nearest that product. The product is rounded once, to a 64-bit
+        significand, in which every k + 1/2 below 10^17 is exact, and
+        rounding is monotone, so D = floor(product + 1/2) unless the product
+        lands on some k + 1/2, which is detected. 10^16 and 10^17 are exact
+        as well, so a product rounded onto either bound gives the digits and
+        exponent its true value rounds to. '%.17g' itself formats a value
+        whose product lands on a half, one outside 1e-10 <= |x| < 1e42
+        (where 10^|16-e| would not be exact) and, without a 64-bit long
+        double significand, every value.
+        """
+        n = len(v)
+        (x, f), (p, tmp), (zero, slow, neg) = self.x[:, :n], self.p[:, :n], self.flags[:, :n]
+        s, (d, hi, lo), trailing = self.layout[:n], self.ints[:, :n], self.trailing[:n]
+        np.abs(v, out=x)
+        np.equal(x, 0, out=zero)
+        np.less(x, 1e-10, out=slow)
+        slow |= x >= 1e42
+        slow &= ~zero
+        if not _EXACT:
+            slow[:] = True
+        x[slow | zero] = 1.0  # placeholders: their digits are not used
+        np.floor(np.log10(x, out=f), out=f)
+        np.subtract(16, f, out=s, casting="unsafe")
+        self._scale(x, s, p, tmp, hi)
+        off = np.flatnonzero((p < 1e16) | (p >= 1e17))  # log10 was off by one, near a power of ten
+        if off.size:
+            s[off] += np.where(p[off] < 1e16, 1, -1)
+            out = off[np.abs(s[off]) > 27]
+            slow[out], s[out] = True, 16
+            part = np.empty((2, off.size), dtype=np.longdouble)
+            self._scale(x[off], s[off], *part, np.empty(off.size, dtype=np.int64))
+            p[off] = part[0]
+        np.add(p, 0.5, out=p)  # exact: the spacing of the long doubles here is at most 2^-7
+        np.copyto(d, p, casting="unsafe")  # truncates
+        slow |= p == d  # on a half, which '%.17g' rounds to even
+        carry = np.flatnonzero(d == 10**17)
+        d[carry], s[carry] = 10**16, s[carry] - 1
+        d[zero], s[zero] = 0, 16
+
+        # digits, four per table lookup: the leading one, then four groups of four
+        quads = self.quads[:, :n]
+        _divmod(d, 10**8, hi, lo)
+        _divmod(lo, 10**4, quads[3], quads[4])
+        _divmod(hi, 10**8, quads[0], lo)
+        _divmod(lo, 10**4, quads[1], quads[2])
+        chars = np.take(self.quad_text, quads, out=self.chars[:, :n], mode="clip")
+        np.take(self.trailing_zeros, quads[4], out=trailing, mode="clip")
+        more = np.flatnonzero(quads[4] == 0)
+        for quad in quads[3:0:-1]:
+            trailing[more] += self.trailing_zeros[quad[more]]
+            more = more[quad[more] == 0]
+        a, b, rows = self.digits[:n], self.work[:n], self.rows[:n]
+        a.fill(0)
+        for k in range(5):
+            a.view(np.uint32)[:, k + 1] = chars[k]  # bytes 4 to 23: digit j at 7 + j
+        layout = np.subtract(16 - _E_MIN, s, out=s)  # e - _E_MIN
+        layout *= 17
+        layout += 16
+        layout -= trailing  # + last
+        np.add(layout, _LAYOUTS, out=layout, where=np.signbit(v, out=neg))
+
+        keep_a, keep_b, const = self.tables
+        b.view(np.uint8).reshape(-1)[1:] = a.view(np.uint8).reshape(-1)[:-1]  # the B copy
+        b.view(np.uint8)[0, 0] = 0
+        np.take(keep_a, layout, axis=0, out=rows, mode="clip")
+        np.bitwise_and(rows, a, out=rows)
+        np.take(keep_b, layout, axis=0, out=a, mode="clip")
+        np.bitwise_and(b, a, out=b)
+        np.bitwise_or(rows, b, out=rows)
+        np.take(const, layout, axis=0, out=a, mode="clip")
+        np.bitwise_or(rows, a, out=rows)
+
+        idx = np.flatnonzero(slow)
+        if idx.size:
+            texts = np.array(["%.17g" % value for value in v[idx].tolist()], dtype="S32")
+            rows[idx, :4] = texts.view(np.uint64).reshape(-1, 4)
+        return rows
+
+    def _scale(self, x: np.ndarray, s: np.ndarray, out: np.ndarray, tmp: np.ndarray, mag: np.ndarray) -> None:
+        """out = x * 10^s in long double, each product rounded once; |s| <= 27."""
+        np.take(self.pow10, np.abs(s, out=mag), out=tmp, mode="clip")
+        np.multiply(x, tmp, out=out)
+        big = np.flatnonzero(s < 0)
+        if big.size:
+            out[big] = x[big] / tmp[big]
+
+
+def _carve(buffer: np.ndarray, *shapes: tuple) -> list:
+    """Consecutive arrays of the given (shape, dtype) laid over the bytes of `buffer`."""
+    raw, at, out = buffer.reshape(-1).view(np.uint8), 0, []
+    for shape, dtype in shapes:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        out.append(raw[at : at + size].view(dtype).reshape(shape))
+        at += size
+    return out
+
+
+def _divmod(x: np.ndarray, divisor: int, q: np.ndarray, r: np.ndarray) -> None:
+    """q, r = divmod(x, divisor), into arrays other than x: numpy divides
+    by a constant quickly, but takes remainders slowly."""
+    np.floor_divide(x, divisor, out=q)
+    np.multiply(q, -divisor, out=r)
+    r += x
 
 
 def _emit_array(a: np.ndarray, pieces: list) -> None:
-    """Nested-list text of a finite, non-empty float array, one format per row.
+    """Nested-list text of a finite, non-empty float array.
 
-    An array of two or more axes is emitted a block of its leading-axis
-    sub-arrays at a time, about `_EMIT_BLOCK` values or one sub-array, and
-    each sub-array's text is a piece of its own: only one block exists as
-    Python floats and row texts, and no piece holds the text of the whole
-    array.
+    A `_Formatter` formats the values about `_EMIT_BLOCK` at a time. For an
+    array of two or more axes a block is a run of its leading-axis
+    sub-arrays, or a part of one, and each sub-array's text is a piece of
+    its own (or one per part): only one block exists as bytes, and no piece
+    holds the text of the whole array.
     """
-    width = a.shape[-1]
-    row = "[" + ", ".join(["%.17g"] * width) + "]"
-    if a.ndim == 1:
-        pieces.append(row % tuple(a.tolist()))
-    else:
-        step = max(1, _EMIT_BLOCK * len(a) // a.size)
-        pieces.append("[")
-        for i in range(0, len(a), step):
-            for text in _subarray_texts(a[i : i + step], row):
-                pieces += (text, ", ")
+    unit = a.shape[1:] if a.ndim > 1 else a.shape
+    m = math.prod(unit)
+    block = min(_EMIT_BLOCK // m * m or _EMIT_BLOCK, a.size)  # whole units, or a part of one
+    fmt = _Formatter(block, unit)
+    flat = a.reshape(-1)
+    opener = "[" * len(unit)  # a unit's first value's brackets; the others' end the value before
+    pieces.append("[" + opener if a.ndim > 1 else opener)
+    lo = 0
+    while lo < a.size:
+        hi = min(lo + block, a.size if m <= block else lo - lo % m + m)
+        for text in fmt.texts(flat[lo:hi], lo % m):
+            pieces.append(text)
+            if hi % m == 0:
+                pieces.append(", " + opener)
+        lo = hi
+    if a.ndim > 1:
         pieces[-1] = "]"
-
-
-def _subarray_texts(a: np.ndarray, row: str) -> list:
-    """Texts of the leading-axis sub-arrays of a float array of two or more axes."""
-    text = [row % tuple(r) for r in a.reshape(-1, a.shape[-1]).tolist()]
-    for n in reversed(a.shape[1:-1]):
-        text = ["[" + ", ".join(text[i : i + n]) + "]" for i in range(0, len(text), n)]
-    return text
+    else:
+        pieces.pop()
 
 
 def _emit(obj, indent: int, pieces: list) -> None:

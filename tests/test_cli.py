@@ -4,8 +4,11 @@ import subprocess
 import sys
 import tracemalloc
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import schurkit as sk
 from schurkit import jsonio
@@ -359,6 +362,59 @@ def test_array_emit_holds_one_subarray_text_per_piece():
     jsonio._emit_array(vals, pieces)
     assert "".join(pieces) == dumps_json(vals)
     assert max(map(len, pieces)) <= max(len(dumps_json(sub)) for sub in vals)
+
+
+def _neighbours(x, steps):
+    """x moved by `steps` ulps (toward +inf when steps > 0)."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.inf if steps > 0 else -np.inf)
+    return float(x)
+
+
+_EDGE_FLOATS = st.one_of(
+    # powers of ten and the doubles next to them, across both notation
+    # switches (1e-5/1e-4 and 1e16/1e17) and the range formatted in numpy
+    st.builds(lambda k, steps: _neighbours(10.0**k, steps), st.integers(-14, 46), st.integers(-3, 3)),
+    # 17 nines and a rounding digit: the 17-digit rounding carries into a new digit, or just misses
+    st.builds(lambda d, k: float(f"{'9' * 17}{d}e{k}"), st.integers(0, 9), st.integers(-30, 30)),
+    # 17-digit decimals with trailing zeros, which '%g' drops
+    st.builds(lambda m, z, k: float(f"{m}{'0' * z}e{k}"), st.integers(1, 10**6), st.integers(0, 12), st.integers(-25, 25)),
+    # values on a half when scaled to 17 digits: short binary fractions
+    st.builds(lambda m, k: m * 2.0**k, st.integers(1, 2**40), st.integers(-60, 10)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                     1.7976931348623157e308, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53 + 2), 1e-10, 1e42]),
+    st.floats(-1e-300, 1e-300, allow_subnormal=True),  # subnormals and tiny values
+    st.floats(1e-10, 1e42) | st.floats(-1e42, -1e-10),  # the range formatted in numpy
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=6, min_side=1, max_side=4), elements=_EDGE_FLOATS),
+    st.sampled_from([jsonio._EMIT_BLOCK, 1, 3, 7, 64]),
+)
+def test_array_emit_matches_percent_17g(vals, block):
+    # the list route formats each value with '%.17g'
+    saved, jsonio._EMIT_BLOCK = jsonio._EMIT_BLOCK, block
+    try:
+        dumped = {"re": vals}
+        assert dumps_json(dumped) == dumps_json(_as_lists(dumped))
+    finally:
+        jsonio._EMIT_BLOCK = saved
+
+
+def test_array_emit_without_a_64_bit_long_double(monkeypatch):
+    # every value then takes '%.17g' itself, and the bytes are the same; with
+    # the layout tables emptied, a value laid out in numpy would lose its text
+    rng = np.random.default_rng(9)
+    vals = rng.standard_normal((3, 4, 5)) * 10.0 ** rng.integers(-20, 30, (3, 4, 5))
+    vals.flat[:6] = [0.0, -0.0, 1e16, 1e17, 1e-5, 0.1]
+    want = dumps_json({"re": vals})
+    tables = jsonio._tables()
+    monkeypatch.setattr(jsonio, "_EXACT", False)
+    monkeypatch.setattr(jsonio, "_tables", lambda: tables[:3] + tuple(np.zeros_like(t) for t in tables[3:]))
+    assert dumps_json({"re": vals}) == want == dumps_json(_as_lists({"re": vals}))
 
 
 def test_array_emit_keeps_inf_and_refuses_nan():

@@ -7,7 +7,7 @@ import pytest
 
 import schurkit as sk
 from schurkit import cli, jsonio
-from schurkit.jsonio import dump_kernel, dump_product, dumps_json, load_kernel, loads_json
+from schurkit.jsonio import dump_grid_function, dump_kernel, dump_product, dumps_json, load_kernel, loads_json
 
 
 def _nested(shape, start=0.0):
@@ -167,6 +167,41 @@ def test_errors_report_document_positions(fault, read, monkeypatch, tmp_path):
         assert (err.value.pos, err.value.lineno, err.value.colno) == (want.value.pos, want.value.lineno, want.value.colno)
 
 
+def _decode_error(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as err:
+        return err
+    except (ValueError, RecursionError):
+        return None
+    return None
+
+
+# faults next to tokens a window end can cut short: literals, numbers, escapes
+CUT = [
+    '[1, -Infinity, 2 3]',
+    '{"a": [NaN, -Infinit]}',
+    '{"a": "\\u00e9\\ud834\\udd1e", "b": tru}',
+    '{"a": [1.5e-7, 2E+3] "b": 1}',
+    '{"re": [1, 2, 1e5.5]}',
+    '{"a": "x\\u12G4y"}',
+    '{"a": "x\\qy"}',
+    '{"a": "long string, never closed]}',
+    '{"re": [[1, 2], [3, 4]], "im": [[-Infinity, 5], [6 7]]}',
+    '{"k": [true, false, null, nul]}',
+]
+
+
+@pytest.mark.parametrize("read", [1, 2, 3, 5, 8, 13])
+@pytest.mark.parametrize("text", [t for t in INVALID if isinstance(t, str) and _decode_error(t)] + CUT)
+def test_errors_match_json_loads_at_every_read_size(text, read, monkeypatch, tmp_path):
+    # a failure is final before the end of the input only where unread text cannot change it
+    want = _decode_error(text)
+    with pytest.raises(json.JSONDecodeError) as err:
+        _read_file(text, read, monkeypatch, tmp_path)
+    assert (str(err.value), err.value.pos) == (str(want), want.pos)
+
+
 def test_complex_assembly_keeps_signed_zeros():
     X = sk.ProductSpace(sk.counting_space(1), sk.counting_space(1))
     Y = sk.ProductSpace(sk.counting_space(1), sk.counting_space(3))
@@ -207,3 +242,66 @@ def test_loading_a_complex_kernel_holds_no_float_tree(tmp_path):
     # lists of Python floats alone take about five times the values here
     assert parse_peak <= 2 * values + mib
     assert obj["re"].nbytes + obj["im"].nbytes == values
+
+
+def _escape_loop(s):
+    """The escaping `_escape` replaced: one character at a time."""
+    out = []
+    for ch in s:
+        if ch in ('"', "\\"):
+            out.append("\\" + ch)
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_escape_matches_the_character_loop():
+    chars = [chr(c) for c in range(0x80)] + ["\u00e9", "\u20ac", "\U0001d11e"]
+    for ch in chars:
+        assert jsonio._escape(ch) == _escape_loop(ch)
+        assert json.loads(f'"{jsonio._escape(ch)}"') == ch
+    text = "".join(chars) * 2
+    assert jsonio._escape(text) == _escape_loop(text)
+
+
+def test_reading_a_small_file_allocates_no_read_chunk(tmp_path):
+    # a read asks for no more than one byte past the end of the file
+    path = tmp_path / "f.json"
+    X = sk.ProductSpace(sk.counting_space(5), sk.counting_space(5))
+    path.write_text(dumps_json(dump_grid_function(sk.GridFunction(X, np.arange(25.0).reshape(5, 5) / 7))))
+    assert path.stat().st_size < 2**10
+    cli._read_json(str(path))
+    tracemalloc.start()
+    try:
+        obj, _ = cli._read_json(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert obj["re"].shape == (5, 5)
+    assert peak < 2**16 < cli._READ_CHUNK
+
+
+def test_an_early_syntax_error_is_final_at_once(monkeypatch, tmp_path):
+    # a bad byte 2000 characters into "re" of a file 21 read chunks long:
+    # the error is reported without reading the rest of the file
+    monkeypatch.setattr(cli, "_READ_CHUNK", 1 << 16)
+    X = sk.ProductSpace(sk.counting_space(16), sk.counting_space(16))
+    text = dumps_json(dump_kernel(sk.Kernel(X, X, np.random.default_rng(5).standard_normal(X.shape * 2))))
+    at = text.index('"re"') + 2000
+    text = text[:at] + "x" + text[at + 1 :]
+    assert len(text) > 20 * cli._READ_CHUNK
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(json.JSONDecodeError) as err:
+            cli._read_json(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == str(want.value)
+    assert peak < 6 * cli._READ_CHUNK  # about four read chunks: the window and the read
