@@ -10,8 +10,11 @@ vertex enumeration of `oracles.brute_corner_opnorm`.
 
 `schur_constants`, `apply_kernel`, `opnorm_lower_search`, `norm_A` and
 `norm_B` read a kernel one slab at a time, a slab being a block of the
-second target axis x2 whose values fit in `_SLAB_BYTES`. Every reduction
-over x1 finishes inside a slab; only sums over x2 are carried across slabs.
+second target axis x2 whose values fit in `_SLAB_BYTES` (1 MiB: a slab and
+its modulus stay in one core's L2 cache, and its contractions stay below the
+size at which OpenBLAS spreads a gemv over threads, which costs more than it
+saves at these sizes). Every reduction over x1 finishes inside a slab; only
+sums and maxima over x2 are carried across slabs.
 A dense `Kernel` yields views of its array, a `SlabKernel` builds each slab
 when asked and is never held whole. Every slab loop holds one slab and its
 modulus at a time: `slabs()` keeps no reference to a slab it has yielded,
@@ -47,7 +50,11 @@ __all__ = [
 ]
 
 VERTEX_CAP = 10**6  # most unit-ball vertices the brute-force oracle enumerates
-_SLAB_BYTES = 8 << 20  # largest block of kernel values reduced (or built) at once
+# Largest block of kernel values reduced (or built) at once. At 1 MiB a slab
+# and its modulus stay resident in a core's 2 MiB L2 cache, and each slab's
+# contractions stay below the size at which OpenBLAS splits a gemv over
+# threads, which on kernels of this size costs far more than it saves.
+_SLAB_BYTES = 1 << 20
 
 
 def _slab_slices(X: ProductSpace, Y: ProductSpace, itemsize: int) -> list[slice]:
@@ -248,7 +255,10 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
     unit spike at (c, d) is the (c, d) column of K times nu(c, d), so its
     norm is nu(c, d) times the mixed norm of |K|[..., c, d]. The constant and
     random trials are applied to each slab as one matmul. Every L^p norm
-    here, over x1 in a slab or over x2 at the end, is `lp_norms`.
+    here, over x1 in a slab or over x2 at the end, is `lp_norms`. The x1-norms
+    of the columns and images are gathered per x2 for a finite q; at q = inf
+    their norm over x2 is a maximum, so only a running maximum over x2 is
+    kept, with the same values as the gathered grid's.
     """
     mu1 = K.X.factor1.masses
     mu2 = K.X.factor2.masses
@@ -263,8 +273,11 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
     best_row = np.empty((len(mu2), n2y))
     best_col = np.empty((len(mu2), n2y))
     if trials is not None:
-        col_inner = np.empty((len(mu2), n1y, n2y))  # x1-norm of each point-mass column
-        img_inner = np.empty((len(mu2), len(trials.batch)))  # x1-norm of each trial image
+        # x1-norms of each point-mass column and each trial image: one row per x2,
+        # or at q = inf a single running-max row (the norms are >= 0, so zeros start it)
+        rows = 1 if trials.q == INF else len(mu2)
+        col_inner = np.zeros((rows, n1y, n2y))
+        img_inner = np.zeros((rows, len(trials.batch)))
     for sl, vals in K.slabs():
         A = np.abs(vals)
         if m is not None:
@@ -279,8 +292,15 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
         best_col[sl] = slab_cols
         best_row[sl] = (nu1 @ A.reshape(n1 * w, n1y, n2y)).reshape(n1, w, n2y).max(axis=0)
         if trials is not None:
-            col_inner[sl] = s1 if trials.p == 1.0 else lp_norms(A, mu1, trials.p, axis=0)
-            img_inner[sl] = lp_norms(np.abs(_apply_slab(vals, trials.weighted)), mu1, trials.p, axis=0)
+            cols = s1 if trials.p == 1.0 else lp_norms(A, mu1, trials.p, axis=0)
+            imgs = lp_norms(np.abs(_apply_slab(vals, trials.weighted)), mu1, trials.p, axis=0)
+            if trials.q == INF:
+                np.maximum(col_inner[0], cols.max(axis=0), out=col_inner[0])
+                np.maximum(img_inner[0], imgs.max(axis=0), out=img_inner[0])
+            else:
+                col_inner[sl] = cols
+                img_inner[sl] = imgs
+            del cols, imgs
         del vals, A, A2, s1  # one slab and its modulus alive while the next is built
     constants = SchurConstants(float(c1), float(col.max()), float(c3.max()), float((mu2 @ best_row).max()))
     if trials is None:

@@ -6,6 +6,7 @@ import pytest
 import schurkit as sk
 from schurkit import cli
 from schurkit.jsonio import dump_kernel, dumps_json, load_kernel
+from schurkit.mixed_norm import lp_norms, mixed_norm_values
 
 from conftest import (
     EXPONENT_GRID,
@@ -410,6 +411,63 @@ def test_one_pass_matches_two_pass_reference(complex_values, slab_bytes, monkeyp
             assert sk.opnorm_lower_search(kernel, p, q, trials=40, seed=7) == got_lower
 
 
+def _gathered_inf_lower(K, p, trials, seed):
+    # the lower search at q = inf from the full (x2, y1, y2) grid of column x1-norms and
+    # the full (x2, trial) grid of image x1-norms, each reduced over x2 once at the end
+    t = sk.operators._draw_trials(K, p, INF, trials, seed)
+    mu1, nu1, nu2 = K.X.factor1.masses, K.Y.factor1.masses, K.Y.factor2.masses
+    cols, imgs = [], []
+    for _, vals in K.slabs():
+        cols.append(lp_norms(np.abs(vals), mu1, t.p, axis=0))
+        imgs.append(lp_norms(np.abs(sk.operators._apply_slab(vals, t.weighted)), mu1, t.p, axis=0))
+    col_grid, img_grid = np.concatenate(cols), np.concatenate(imgs)
+    assert col_grid.shape == (len(K.X.factor2.masses),) + K.Y.shape
+    col_norms = col_grid.max(axis=0) * K.Y.mass_grid
+    best = float((col_norms / (nu1 ** (1.0 / t.p))[:, None]).max())  # a point mass's L^{p,inf} norm
+    dens = mixed_norm_values(np.abs(t.batch), nu1, nu2, t.p, INF)
+    ok = dens > 0
+    if np.any(ok):
+        best = max(best, float((img_grid.max(axis=0)[ok] / dens[ok]).max()))
+    return best
+
+
+def test_running_max_at_q_inf_equals_the_gathered_grid(monkeypatch):
+    rng = np.random.default_rng(25)
+    for i in range(12):
+        X = sk.ProductSpace(rand_space(rng, int(rng.integers(1, 5))), rand_space(rng, int(rng.integers(3, 9))))
+        Y = sk.ProductSpace(rand_space(rng, int(rng.integers(1, 5))), rand_space(rng, int(rng.integers(1, 5))))
+        K = rand_kernel(rng, X, Y, complex_values=i % 2 == 1)
+        width = int(rng.integers(1, 3))  # x2 columns a slab
+        monkeypatch.setattr(sk.operators, "_SLAB_BYTES", width * X.factor1.size * Y.size * K.values.itemsize)
+        lazy = sk.SlabKernel(X, Y, K.values.dtype, lambda sl, K=K: K.values[:, sl])
+        for kernel in (K, lazy):
+            assert len(list(kernel.slabs())) >= 2
+            for p in (1.0, 2.0, 3.5, INF):
+                trials = int(rng.integers(1, Y.size + 12))
+                constants, lower = sk.schur_scan(kernel, p, INF, trials=trials, seed=i)
+                assert constants == sk.schur_constants(kernel)
+                assert lower == _gathered_inf_lower(kernel, p, trials, i)
+
+
+def test_slab_slices_stay_within_the_budget_unless_one_column(monkeypatch):
+    from schurkit.operators import _slab_slices
+
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        X = sk.ProductSpace(sk.counting_space(int(rng.integers(1, 9))), sk.counting_space(int(rng.integers(1, 40))))
+        Y = sk.ProductSpace(sk.counting_space(int(rng.integers(1, 9))), sk.counting_space(int(rng.integers(1, 9))))
+        itemsize = int(rng.choice([8, 16]))
+        budget = int(rng.integers(1, 40 * 64 * 16))
+        monkeypatch.setattr(sk.operators, "_SLAB_BYTES", budget)
+        slabs = _slab_slices(X, Y, itemsize)
+        assert [s.start for s in slabs] == [0] + [s.stop for s in slabs[:-1]]
+        assert slabs[-1].stop == X.factor2.size
+        for s in slabs:
+            width = s.stop - s.start
+            assert width >= 1
+            assert width == 1 or X.factor1.size * width * Y.size * itemsize <= budget
+
+
 def test_schur_certificate_builds_each_slab_once(tmp_path, monkeypatch, capsys):
     rng = np.random.default_rng(22)
     X = sk.ProductSpace(rand_space(rng, 5), rand_space(rng, 6))
@@ -470,6 +528,7 @@ def test_counterexample_holds_one_slab_at_a_time():
 
     from schurkit.operators import _slab_slices
 
+    np.random.default_rng()  # numpy imports numpy.random on first use: not a slab's memory
     tracemalloc.start()
     try:
         K, _ = sk.counterexample_kernel(16, 64)
@@ -481,6 +540,20 @@ def test_counterexample_holds_one_slab_at_a_time():
     width = max(s.stop - s.start for s in slabs)
     one_slab = K.X.factor1.size * width * K.Y.size * (16 + 8)  # complex values and their modulus
     assert peak < 1.15 * one_slab
+
+
+def test_counterexample_at_n32_peaks_under_8_mib():
+    import tracemalloc
+
+    # at q = inf the (1, inf) lower bound keeps a running maximum over x2, not the
+    # (x2, y1, y2) grid of column norms (8.8 MiB here when it was gathered)
+    tracemalloc.start()
+    try:
+        sk.counterexample_kernel(32, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_slab_kernel_drops_a_slab_once_yielded(monkeypatch):

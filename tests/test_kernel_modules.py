@@ -71,11 +71,12 @@ def test_slab_kernel_norms_equal_the_dense_kernels(slab_bytes, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["dense", "slab"])
-def test_norm_b_holds_one_slab_and_its_modulus(kind):
+def test_norm_b_holds_one_slab_and_its_modulus(kind, monkeypatch):
     import tracemalloc
 
     from schurkit.operators import _slab_slices
 
+    monkeypatch.setattr(sk.operators, "_SLAB_BYTES", 8 << 20)
     rng = np.random.default_rng(24)
     X = sk.ProductSpace(sk.counting_space(30), sk.counting_space(30))
     vals = rng.standard_normal((30,) * 4) + 1j * rng.standard_normal((30,) * 4)
