@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coorbit import coorbit_report, counterexample_kernel, reproducing_kernel
+from .coorbit import coorbit_report, counterexample_kernel
 from .coverings import (
     covering_weights,
     maximal_kernel,
@@ -342,10 +342,8 @@ def _cmd_coorbit(args):
         if args.m0
         else WeightGrid(space, space, np.ones(space.shape + space.shape))
     )
-    if args.majorant:
-        L = inputs.load("majorant", args.majorant, load_kernel)
-    else:
-        L = maximal_kernel(reproducing_kernel(frame), cov)
+    # without --majorant, coorbit_report takes the patch-maximal kernel it computes
+    L = inputs.load("majorant", args.majorant, load_kernel) if args.majorant else None
     report = coorbit_report(frame, cov, u, v, m0, L)
     quantities = {
         "norm_a_mv": report.norm_a_mv,

@@ -162,18 +162,22 @@ def coorbit_report(
     u: GridFunction,
     v: GridFunction,
     m0: WeightGrid,
-    L: Kernel,
+    L: Kernel | None = None,
 ) -> CoorbitReport:
     """Evaluate every coorbit hypothesis for the frame's reproducing kernel.
 
     Nothing here raises on a failed hypothesis — failures land in the report
     as False flags or large constants. The margin is the discretization
     quantity computed from the stored structured norms of the kernel and the
-    majorant (both weighted by m0).
+    majorant L (both weighted by m0). L = None takes the patch-maximal
+    kernel computed here as the majorant, which it dominates by definition.
     """
     space = frame.space
     K = reproducing_kernel(frame)
     report = validate_covering(cov, u)
+    M = maximal_kernel(K, cov)
+    if L is None:
+        L = M
 
     norm_a_mv = norm_A(K, mv_weight(v))
     norm_b_kpsi = norm_B(K, m0)
@@ -189,7 +193,6 @@ def coorbit_report(
         (m0.values / (u.values[:, :, None, None] * u.values[None, None, :, :])).max()
     )
 
-    M = maximal_kernel(K, cov)
     if not L.is_nonnegative or L.X != space or L.Y != space:
         dominated = False
     else:

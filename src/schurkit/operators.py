@@ -20,10 +20,17 @@ when asked and is never held whole. Every slab loop holds one slab and its
 modulus at a time: `slabs()` keeps no reference to a slab it has yielded,
 and each loop drops the slab, its modulus and its per-slab partials before
 it asks for the next one. All but `apply_kernel` run one scan, `_scan`: each
-slab is read once and its modulus taken once, and the mass-weighted sums
-over it are matrix contractions (gemv and a batched matmul) rather than
-broadcast products of the slab's full shape; its L^p norms are
+slab is read once and its modulus taken once, and only two mass-weighted
+contractions read that modulus, its sum over x1 and its sum over y1 (a gemv
+and a batched matmul, not broadcast products of the slab's full shape);
+every other integral is a small contraction of those two. Its L^p norms are
 `mixed_norm.lp_norms`, under that module's one overflow policy.
+
+A dense `Kernel` checks its values finite once, when it is built. A
+`SlabKernel`'s `slabs()` checks each slab as it is built, but `_scan` reads
+the slabs unchecked and takes the check from its row integrals: every mass
+is > 0, so an inf or nan entry makes its row integral non-finite, and only
+then are the slab's entries checked one by one.
 """
 
 from __future__ import annotations
@@ -124,6 +131,9 @@ class Kernel:
         for sl in _slab_slices(self.X, self.Y, self.values.itemsize):
             yield sl, self.values[:, sl]
 
+    # the values were checked when the kernel was built
+    _unchecked_slabs = slabs
+
     def __repr__(self) -> str:
         return f"Kernel(X={self.X.shape}, Y={self.Y.shape}, dtype={self.values.dtype})"
 
@@ -133,9 +143,12 @@ class SlabKernel:
 
     build_slab(sl) returns the values K[:, sl] of shape (|X1|, len(sl)) +
     Y.shape for a slice sl of the second target axis; each slab is built
-    again whenever `slabs()` is iterated. `schur_constants`, `apply_kernel`,
-    `opnorm_lower_search`, `kernel_algebra.norm_A` and `kernel_algebra.norm_B`
-    accept it like a dense `Kernel`.
+    again whenever `slabs()` is iterated, which raises ValueError on a slab
+    of the wrong shape or dtype or with a non-finite entry. `schur_constants`,
+    `apply_kernel`, `opnorm_lower_search`, `kernel_algebra.norm_A` and
+    `kernel_algebra.norm_B` accept it like a dense `Kernel`; all but
+    `apply_kernel` read it through `_scan`, which skips the separate
+    finiteness sum and checks each slab from its row integrals instead.
     """
 
     __slots__ = ("X", "Y", "dtype", "_build_slab")
@@ -153,17 +166,23 @@ class SlabKernel:
         return self.dtype == np.float64
 
     def slabs(self):
-        """Yield (x2 slice, values of that slab), each built on demand.
+        """Yield (x2 slice, values of that slab), each built on demand and checked finite.
 
         The generator keeps no reference to a slab once it is yielded, so a
         caller that drops its own holds one slab while the next is built.
         """
+        for sl, vals in self._unchecked_slabs():
+            _require_finite(vals)
+            yield sl, vals
+            del vals
+
+    def _unchecked_slabs(self):
+        """`slabs()` without the finiteness check, which `_scan` takes from its row integrals."""
         for sl in _slab_slices(self.X, self.Y, self.dtype.itemsize):
             vals = np.asarray(self._build_slab(sl))
             expected = (self.X.factor1.size, sl.stop - sl.start) + self.Y.shape
             if vals.shape != expected or vals.dtype != self.dtype:
                 raise ValueError(f"slab {vals.dtype}{vals.shape} does not match {self.dtype}{expected}")
-            _require_finite(vals)
             yield sl, vals
             del vals
 
@@ -243,13 +262,19 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
     """The Schur constants, the partial-kernel grids and the lower search, from one read per slab.
 
     Each slab is read once and its modulus A = |K|[:, x2 slab] taken once,
-    times m.values[:, x2 slab] if a weight grid m is given. Everything
-    summed over x1 or over the source finishes inside the slab, as
-    contractions of A: rows A2 @ nu and columns xmass @ A2 on its
-    |X| x |Y| view (C1, C2), mu1 @ A over x1 (the best columns, C3, and the
-    point masses at p = 1), and sum_{y1} nu1 A as a batched matmul (the best
-    rows, C4). Only per-x2 results are carried across slabs; the outer sums
-    over x2 or y2 are gemv, and C3's is taken per slab.
+    times m.values[:, x2 slab] if a weight grid m is given. Exactly two
+    contractions read A: s1 = mu1 @ A over x1 (the best columns, C3, and the
+    point masses at p = 1) and R = sum_{y1} nu1 A as a batched matmul (the
+    best rows, C4). The rest derive from these: C1's row integrals are
+    R @ nu2, and C2's column integrals accumulate mu2[slab] @ s1 across
+    slabs. Only per-x2 results are carried across slabs; the outer sums over
+    x2 or y2 are gemv, and C3's is taken per slab.
+
+    The slabs are read without a separate finiteness sum. Every mass is > 0,
+    so an inf or nan entry makes its row integral non-finite; a slab whose
+    largest row integral is not finite is checked entry by entry with
+    `_require_finite`, which raises only for a non-finite entry, so rows that
+    overflow from finite entries are accepted, as when the kernel is built.
 
     The lower search takes the point masses in closed form: the image of a
     unit spike at (c, d) is the (c, d) column of K times nu(c, d), so its
@@ -278,19 +303,22 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
         rows = 1 if trials.q == INF else len(mu2)
         col_inner = np.zeros((rows, n1y, n2y))
         img_inner = np.zeros((rows, len(trials.batch)))
-    for sl, vals in K.slabs():
+    for sl, vals in K._unchecked_slabs():
         A = np.abs(vals)
         if m is not None:
             A *= m.values[:, sl]
         w = A.shape[1]
-        A2 = A.reshape(-1, K.Y.size)
-        col += K.X.mass_grid[:, sl].reshape(-1) @ A2
-        c1 = max(c1, (A2 @ K.Y.mass_grid.reshape(-1)).max())
         s1 = lp_norms(A, mu1, 1.0, axis=0)  # (x2, y1, y2): sum_{x1} mu1 |K|
+        R = nu1 @ A.reshape(n1 * w, n1y, n2y)  # (x1 x2, y2): sum_{y1} nu1 |K|
+        top = (R @ nu2).max()  # the largest row integral over the source
+        if not np.isfinite(top):  # masses are > 0, so an inf or nan entry makes its row so
+            _require_finite(vals)
+        c1 = max(c1, top)
+        col += mu2[sl] @ s1.reshape(w, -1)
         slab_cols = s1.max(axis=1)
         c3[sl] = slab_cols @ nu2
         best_col[sl] = slab_cols
-        best_row[sl] = (nu1 @ A.reshape(n1 * w, n1y, n2y)).reshape(n1, w, n2y).max(axis=0)
+        best_row[sl] = R.reshape(n1, w, n2y).max(axis=0)
         if trials is not None:
             cols = s1 if trials.p == 1.0 else lp_norms(A, mu1, trials.p, axis=0)
             imgs = lp_norms(np.abs(_apply_slab(vals, trials.weighted)), mu1, trials.p, axis=0)
@@ -301,7 +329,7 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
                 col_inner[sl] = cols
                 img_inner[sl] = imgs
             del cols, imgs
-        del vals, A, A2, s1  # one slab and its modulus alive while the next is built
+        del vals, A, s1, R  # one slab and its modulus alive while the next is built
     constants = SchurConstants(float(c1), float(col.max()), float(c3.max()), float((mu2 @ best_row).max()))
     if trials is None:
         return _Scan(constants, best_row, best_col, None)
@@ -328,11 +356,12 @@ def schur_constants(K: Kernel) -> SchurConstants:
     with the roles of the two sides exchanged.
 
     The kernel is read once, in x2-slabs, with one modulus A per slab, and
-    the mass-weighted sums are contractions of A: row integrals A2 @ nu and
-    column integrals xmass @ A2 on its |X| x |Y| view A2, C3's inner sum
-    mu1 @ A over x1, and C4's sum over y1 as a batched matmul. C1 and C3
-    finish inside a slab, C2's column integrals are summed across slabs,
-    and C4's per-(x2, y2) maxima are gathered before the outer sum over x2.
+    two contractions of A carry every sum: mu1 @ A over x1 (C3's inner sum)
+    and sum_{y1} nu1 A as a batched matmul (C4's inner sum). C1's row
+    integrals are the latter summed against nu2, and C2's column integrals
+    the former summed against mu2 across slabs. C1 and C3 finish inside a
+    slab, and C4's per-(x2, y2) maxima are gathered before the outer sum over
+    x2. A slab kernel's finiteness is checked from C1's row integrals.
     """
     return _scan(K, None).constants
 

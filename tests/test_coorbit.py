@@ -3,6 +3,8 @@ import pytest
 
 import schurkit as sk
 
+from conftest import rand_covering
+
 
 def _full_patch_covering(space):
     return sk.RectCovering(
@@ -160,6 +162,20 @@ def test_coorbit_report_flags_asymmetric_weight():
     report = sk.coorbit_report(frame, cov, u, v, sk.WeightGrid(m0.X, m0.Y, vals), L)
     assert not report.m0_symmetric
     assert not report.all_pass
+
+
+def test_coorbit_report_defaults_to_the_patch_maximal_majorant():
+    rng = np.random.default_rng(4)
+    frame, cov, u, v, m0, L = _default_report()
+    covs = [(cov, L)]
+    for _ in range(3):
+        patches = rand_covering(rng, frame.space)
+        covs.append((patches, sk.maximal_kernel(sk.reproducing_kernel(frame), patches)))
+    for cov, L in covs:
+        report = sk.coorbit_report(frame, cov, u, v, m0, L)
+        assert sk.coorbit_report(frame, cov, u, v, m0, None) == report
+        assert sk.coorbit_report(frame, cov, u, v, m0) == report
+        assert report.kernel_dominated
 
 
 def test_sequence_norms_frozen():

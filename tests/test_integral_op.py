@@ -607,6 +607,98 @@ def test_finite_check_rejects_one_non_finite_entry(kind, part, bad, base):
         _kernel_through_finite_check(kind, vals)
 
 
+def _scan_readers():
+    # every public function that reads a kernel through the Schur scan, with and
+    # without a weight grid where it takes one
+    def weighted(norm):
+        return lambda K: norm(K, sk.WeightGrid(K.X, K.Y, np.full(K.X.shape + K.Y.shape, 2.0)))
+
+    return {
+        "schur_constants": sk.schur_constants,
+        "schur_scan": lambda K: sk.schur_scan(K, 2, 3, trials=8),
+        "opnorm_lower_search": lambda K: sk.opnorm_lower_search(K, 1, INF, trials=8),
+        "norm_A": sk.norm_A,
+        "norm_B": sk.norm_B,
+        "norm_A_weighted": weighted(sk.norm_A),
+        "norm_B_weighted": weighted(sk.norm_B),
+    }
+
+
+@pytest.mark.parametrize("reader", sorted(_scan_readers()))
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("base", [1.0, 1e308])
+def test_every_scan_reader_rejects_a_non_finite_slab(reader, part, bad, base, monkeypatch):
+    monkeypatch.setattr(sk.operators, "_SLAB_BYTES", 2 * 4 * 16)  # one x2 column a slab
+    X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(3))
+    Y = sk.ProductSpace(sk.counting_space(2), sk.counting_space(2))
+    vals = np.full(X.shape + Y.shape, base, dtype=float if part == "real" else complex)
+    vals[1, 2, 0, 1] = complex(1.0, bad) if part == "imag" else bad  # in the last of three slabs
+    K = sk.SlabKernel(X, Y, vals.dtype, lambda sl: vals[:, sl])
+    # trial images of the finite 1e308 slabs overflow before the bad slab is reached
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
+        _scan_readers()[reader](K)
+
+
+@pytest.mark.parametrize("reader", sorted(_scan_readers()))
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_every_scan_reader_accepts_rows_that_overflow(reader, dtype):
+    # four finite entries of 1e308: each row integral over two source points overflows
+    X = sk.ProductSpace(sk.counting_space(1), sk.counting_space(2))
+    Y = sk.ProductSpace(sk.counting_space(1), sk.counting_space(2))
+    vals = np.full(X.shape + Y.shape, 1e308, dtype=dtype)
+    if dtype is complex:
+        vals += 1e308j
+    K = sk.SlabKernel(X, Y, vals.dtype, lambda sl: vals[:, sl])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _scan_readers()[reader](K)
+        assert sk.schur_constants(K).c1 == INF
+
+
+def test_scanning_a_finite_slab_kernel_checks_no_entry(monkeypatch):
+    monkeypatch.setattr(sk.operators, "_SLAB_BYTES", 2 * 5 * 12 * 16)  # three complex slabs
+    rng = np.random.default_rng(27)
+    X = sk.ProductSpace(rand_space(rng, 5), rand_space(rng, 6))
+    Y = sk.ProductSpace(rand_space(rng, 4), rand_space(rng, 3))
+    K = rand_kernel(rng, X, Y, complex_values=True)
+    m = sk.WeightGrid(X, Y, 1.0 + rng.random(X.shape + Y.shape))  # checked as it is built
+    lazy = sk.SlabKernel(X, Y, complex, lambda sl: K.values[:, sl])
+    calls = []
+    check = sk.operators._require_finite
+    monkeypatch.setattr(sk.operators, "_require_finite", lambda vals: calls.append(vals.shape) or check(vals))
+    sk.schur_constants(lazy)
+    sk.schur_scan(lazy, 2, 3, trials=8)
+    sk.opnorm_lower_search(lazy, 1, INF, trials=8)
+    for norm in (sk.norm_A, sk.norm_B):
+        norm(lazy)
+        norm(lazy, m)
+    assert calls == []
+    assert len(list(lazy.slabs())) == 3 and len(calls) == 3  # slabs() itself still checks each
+
+
+@pytest.mark.parametrize("slabs", [None, 3, 6])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_c1_c2_match_broadcast_integrals(complex_values, slabs, monkeypatch):
+    rng = np.random.default_rng(28)
+    X = sk.ProductSpace(rand_space(rng, 5), rand_space(rng, 6))
+    Y = sk.ProductSpace(rand_space(rng, 4), rand_space(rng, 3))
+    for _ in range(4):
+        K = rand_kernel(rng, X, Y, complex_values=complex_values)
+        if slabs is not None:
+            width = X.factor2.size // slabs
+            monkeypatch.setattr(sk.operators, "_SLAB_BYTES", width * X.factor1.size * Y.size * K.values.itemsize)
+        lazy = sk.SlabKernel(X, Y, K.values.dtype, lambda sl, K=K: K.values[:, sl])
+        A = np.abs(K.values)
+        rows = (A * Y.mass_grid).sum(axis=(2, 3)).max()  # max over x of sum_y nu |K|
+        cols = (A * X.mass_grid[:, :, None, None]).sum(axis=(0, 1)).max()  # max over y of sum_x mu |K|
+        for kernel in (K, lazy):
+            assert len(list(kernel.slabs())) == (1 if slabs is None else slabs)
+            c = sk.schur_constants(kernel)
+            assert c.c1 == pytest.approx(rows, rel=1e-13)
+            assert c.c2 == pytest.approx(cols, rel=1e-13)
+            assert sk.norm_A(kernel) == max(c.c1, c.c2)
+
+
 def _constant_kernel(value):
     X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(1))
     Y = sk.ProductSpace(sk.counting_space(1), sk.counting_space(1))
