@@ -51,12 +51,14 @@ class FiniteFrame:
         vecs = np.asarray(vectors, dtype=complex)
         if vecs.ndim != 3 or vecs.shape[:2] != space.shape:
             raise ValueError("vectors must have shape space.shape + (dim,)")
+        if not np.isfinite(vecs).all():
+            raise ValueError("frame vectors must be finite")
         vecs.setflags(write=False)
         self.space = space
         self.vectors = vecs
         self.dim = vecs.shape[2]
         defect = self.parseval_defect()
-        if defect > tol:
+        if not defect <= tol:
             raise ValueError(f"frame operator deviates from identity by {defect:.3e}")
 
     def parseval_defect(self) -> float:
@@ -173,8 +175,10 @@ def coorbit_report(
     kernel computed here as the majorant, which it dominates by definition.
     """
     space = frame.space
-    K = reproducing_kernel(frame)
+    if v.space != space:
+        raise ValueError("weight v does not live on the frame's index space")
     report = validate_covering(cov, u)
+    K = reproducing_kernel(frame)
     M = maximal_kernel(K, cov)
     if L is None:
         L = M

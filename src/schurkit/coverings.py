@@ -144,6 +144,8 @@ def validate_covering(cov: RectCovering, u: GridFunction | None = None) -> Cover
 
     moderateness = None
     if u is not None:
+        if u.space != cov.space:
+            raise ValueError("weight u does not live on the covered space")
         uv = u.values
         if not u.is_real or np.any(uv <= 0):
             raise ValueError("weight u must be strictly positive")

@@ -376,22 +376,30 @@ def load_covering(obj, space: ProductSpace) -> RectCovering:
     return RectCovering(space, patches)
 
 
+def _window_number(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"window entries are JSON numbers or [re, im] pairs of them, got {x!r}")
+    return float(x)
+
+
 def _window_entry(x) -> complex:
     if isinstance(x, list):
         if len(x) != 2:
             raise ValueError("complex window entries are [re, im] pairs")
-        return complex(float(x[0]), float(x[1]))
-    return complex(float(x), 0.0)
+        return complex(_window_number(x[0]), _window_number(x[1]))
+    return complex(_window_number(x), 0.0)
 
 
 def load_frame(obj) -> FiniteFrame:
     if not isinstance(obj, dict) or obj.get("type") != "gabor":
         raise ValueError("frame JSON must have \"type\": \"gabor\"")
     N = obj.get("N")
-    if not isinstance(N, int) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise ValueError("frame JSON needs positive integer 'N'")
-    window = [_window_entry(x) for x in obj.get("window", [])]
-    return gabor_frame(N, window)
+    window = obj.get("window")
+    if not isinstance(window, list):
+        raise ValueError("frame JSON needs a 'window' list")
+    return gabor_frame(N, [_window_entry(x) for x in window])
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +453,13 @@ def _escape(s: str) -> str:
     return s.translate(_ESCAPES)
 
 
-_EMIT_BLOCK = 1 << 12  # values formatted at a time; `_Formatter` holds about 130 bytes a value
+_EMIT_BLOCK = 1 << 12  # values formatted at a time; `_Formatter` holds about 270 bytes a value
 
 # `_Formatter` formats float64 values as '%.17g' does, with numpy. Each value
 # is a row of 64-bit words: its number in the first four (byte columns in
 # `_layouts`), then the brackets and ", " that follow it.
 _EXACT = np.finfo(np.longdouble).nmant >= 63  # 10^s for 0 <= s <= 27 is exact: 5^27 < 2^63
 _E_MIN, _E_MAX = -11, 43  # decimal exponents laid out: those of 1e-10 <= |x| < 1e42, and one more each way
-_LAYOUTS = (_E_MAX - _E_MIN + 1) * 17
 
 
 @functools.cache
@@ -474,17 +481,17 @@ def _tables() -> tuple:
 
 def _layouts() -> tuple:
     """(keep-A mask, keep-B mask, constant bytes) of a row's five words, one
-    row per layout `_LAYOUTS` * sign + (e - _E_MIN) * 17 + last, where e is
-    the decimal exponent and digit `last` the last that is not a trailing
-    zero.
+    row per layout (e - _E_MIN) * 17 + last, where e is the decimal exponent
+    and digit `last` the last that is not a trailing zero.
 
-    Column 0 holds the sign. Digit j is at column 7 + j in the "A" copy of
-    the digits and at 8 + j in the "B" copy, one byte further on: digits
-    before the point come from A, those after it from B, and the point sits
-    at 8 + q after digit q. As '%g' lays them out: fixed notation for
-    -4 <= e < 17, with "0." and -e - 1 zeros in columns 6 + e to 6 when e is
-    negative; otherwise "d.ddd" and "e+XX" in columns 25 to 28; trailing
-    zeros of the fraction, and then a bare point, dropped.
+    Column 0 is left for the sign, which `_Formatter` writes. Digit j is at
+    column 7 + j in the "A" copy of the digits and at 8 + j in the "B" copy,
+    one byte further on: digits before the point come from A, those after it
+    from B, and the point sits at 8 + q after digit q. As '%g' lays them
+    out: fixed notation for -4 <= e < 17, with "0." and -e - 1 zeros in
+    columns 6 + e to 6 when e is negative; otherwise "d.ddd" and "e+XX" in
+    columns 25 to 28; trailing zeros of the fraction, and then a bare point,
+    dropped.
     """
     e = np.arange(_E_MIN, _E_MAX + 1)[:, None, None]
     last = np.arange(17)[:, None]
@@ -500,9 +507,7 @@ def _layouts() -> tuple:
     mag = np.abs(e)
     for k, byte in enumerate([ord("e"), np.where(e < 0, ord("-"), ord("+")), ord("0") + mag // 10, ord("0") + mag % 10]):
         np.copyto(const[..., 25 + k : 26 + k], byte, where=~fixed, casting="unsafe")
-    minus = const.copy()
-    minus[..., 0] = ord("-")
-    tables = (np.concatenate([a, a]) * np.uint8(255), np.concatenate([b, b]) * np.uint8(255), np.concatenate([const, minus]))
+    tables = (a * np.uint8(255), b * np.uint8(255), const)
     return tuple(t.reshape(-1, 40).view(np.uint64) for t in tables)
 
 
@@ -512,13 +517,8 @@ class _Formatter:
 
     A value's row holds its number and, after it, its closing brackets, ", "
     and the next value's opening brackets; bytes a row leaves unused are NUL,
-    and the text keeps the others. The buffers are allocated once and reused
-    through `out=`, so a block allocates little but its texts. Freed, they
-    leave a hole below the texts that adds to the peak RSS, so the numbers
-    are worked out inside the three row buffers before these are filled:
-    replaying `kernel_cert`'s certificates peaked at 56.1 MB with per-row
-    formatting, 63.7 MB with separate buffers for 16,384 values, and
-    57.6 MB with these, for 4,096.
+    and the text keeps the others. The buffers are allocated once per array
+    and reused through `out=`, so a block allocates little but its texts.
     """
 
     def __init__(self, size: int, unit: tuple) -> None:
@@ -529,10 +529,12 @@ class _Formatter:
         self.rows, self.digits, self.work = np.zeros((3, size, words), dtype=np.uint64)  # digits: the A copy
         self.layout = np.empty(size, dtype=np.intp)
         self.flags = np.empty((3, size), dtype=bool)
-        # each is dead before the buffer it lies in is written (see `_numbers`)
-        [self.p], [self.quads] = _carve(self.rows, ((2, size), np.longdouble)), _carve(self.rows, ((5, size), np.intp))
-        self.x, self.ints = _carve(self.digits, ((2, size), float), ((3, size), np.int64))
-        self.trailing, self.chars = _carve(self.work, ((size,), np.intp), ((5, size), np.uint32))
+        self.p = np.empty((2, size), dtype=np.longdouble)
+        self.quads = np.empty((5, size), dtype=np.intp)
+        self.x = np.empty((2, size), dtype=float)
+        self.ints = np.empty((3, size), dtype=np.int64)
+        self.trailing = np.empty(size, dtype=np.intp)
+        self.chars = np.empty((5, size), dtype=np.uint32)
         self.tail = (0, 0, None)  # (first position, count, tail words) of the last values formatted
 
     def texts(self, v: np.ndarray, pos: int) -> list:
@@ -628,7 +630,6 @@ class _Formatter:
         layout *= 17
         layout += 16
         layout -= trailing  # + last
-        np.add(layout, _LAYOUTS, out=layout, where=np.signbit(v, out=neg))
 
         keep_a, keep_b, const = self.tables
         b.view(np.uint8).reshape(-1)[1:] = a.view(np.uint8).reshape(-1)[:-1]  # the B copy
@@ -640,6 +641,7 @@ class _Formatter:
         np.bitwise_or(rows, b, out=rows)
         np.take(const, layout, axis=0, out=a, mode="clip")
         np.bitwise_or(rows, a, out=rows)
+        np.copyto(rows.view(np.uint8)[:, 0], ord("-"), where=np.signbit(v, out=neg))
 
         idx = np.flatnonzero(slow)
         if idx.size:
@@ -654,16 +656,6 @@ class _Formatter:
         big = np.flatnonzero(s < 0)
         if big.size:
             out[big] = x[big] / tmp[big]
-
-
-def _carve(buffer: np.ndarray, *shapes: tuple) -> list:
-    """Consecutive arrays of the given (shape, dtype) laid over the bytes of `buffer`."""
-    raw, at, out = buffer.reshape(-1).view(np.uint8), 0, []
-    for shape, dtype in shapes:
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        out.append(raw[at : at + size].view(dtype).reshape(shape))
-        at += size
-    return out
 
 
 def _divmod(x: np.ndarray, divisor: int, q: np.ndarray, r: np.ndarray) -> None:

@@ -14,7 +14,7 @@ second target axis x2 whose values fit in `_SLAB_BYTES` (1 MiB: a slab and
 its modulus stay in one core's L2 cache, and its contractions stay below the
 size at which OpenBLAS spreads a gemv over threads, which costs more than it
 saves at these sizes). Every reduction over x1 finishes inside a slab; only
-sums and maxima over x2 are carried across slabs.
+sums, maxima and L^q norms over x2 are carried across slabs.
 A dense `Kernel` yields views of its array, a `SlabKernel` builds each slab
 when asked and is never held whole. Every slab loop holds one slab and its
 modulus at a time: `slabs()` keeps no reference to a slab it has yielded,
@@ -258,6 +258,11 @@ class _Scan(NamedTuple):
     lower: float | None  # the lower search, when trials are given
 
 
+def _merge_lq(total: np.ndarray | None, part: np.ndarray, q: float) -> np.ndarray:
+    """The L^q norm of two disjoint pieces' L^q norms, under `lp_norms`'s overflow policy."""
+    return part if total is None else lp_norms(np.stack([total, part]), np.ones(2), q, axis=0)
+
+
 def _scan(K, trials: _Trials | None, m=None) -> _Scan:
     """The Schur constants, the partial-kernel grids and the lower search, from one read per slab.
 
@@ -267,8 +272,8 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
     point masses at p = 1) and R = sum_{y1} nu1 A as a batched matmul (the
     best rows, C4). The rest derive from these: C1's row integrals are
     R @ nu2, and C2's column integrals accumulate mu2[slab] @ s1 across
-    slabs. Only per-x2 results are carried across slabs; the outer sums over
-    x2 or y2 are gemv, and C3's is taken per slab.
+    slabs. C1 and C3 are running maxima over the slabs; only C4's
+    per-(x2, y2) maxima are gathered, for one gemv over x2 at the end.
 
     The slabs are read without a separate finiteness sum. Every mass is > 0,
     so an inf or nan entry makes its row integral non-finite; a slab whose
@@ -280,10 +285,13 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
     unit spike at (c, d) is the (c, d) column of K times nu(c, d), so its
     norm is nu(c, d) times the mixed norm of |K|[..., c, d]. The constant and
     random trials are applied to each slab as one matmul. Every L^p norm
-    here, over x1 in a slab or over x2 at the end, is `lp_norms`. The x1-norms
-    of the columns and images are gathered per x2 for a finite q; at q = inf
-    their norm over x2 is a maximum, so only a running maximum over x2 is
-    kept, with the same values as the gathered grid's.
+    here is `lp_norms`. The columns' and images' x1-norms are reduced over
+    the slab's x2 at once, and that L^q norm is merged into a running one by
+    `_merge_lq`: norms a and b of two pieces give (a^q + b^q)^(1/q), again
+    through `lp_norms`, so the merge cannot overflow. At q = inf a merge is a
+    maximum, which is exact; at finite q each merge adds one power and one
+    root to the rounding of every norm, so a kernel of S slabs carries S - 1
+    of each more than one norm over all of x2 would.
     """
     mu1 = K.X.factor1.masses
     mu2 = K.X.factor2.masses
@@ -292,17 +300,11 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
     n1 = len(mu1)
     n1y, n2y = K.Y.shape
 
-    c1 = 0.0
+    c1 = c3 = 0.0
     col = np.zeros(K.Y.size)
-    c3 = np.empty(len(mu2))
     best_row = np.empty((len(mu2), n2y))
     best_col = np.empty((len(mu2), n2y))
-    if trials is not None:
-        # x1-norms of each point-mass column and each trial image: one row per x2,
-        # or at q = inf a single running-max row (the norms are >= 0, so zeros start it)
-        rows = 1 if trials.q == INF else len(mu2)
-        col_inner = np.zeros((rows, n1y, n2y))
-        img_inner = np.zeros((rows, len(trials.batch)))
+    col_norms = img_norms = None  # L^{p,q} norms of the point-mass columns and trial images, so far
     for sl, vals in K._unchecked_slabs():
         A = np.abs(vals)
         if m is not None:
@@ -316,33 +318,27 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
         c1 = max(c1, top)
         col += mu2[sl] @ s1.reshape(w, -1)
         slab_cols = s1.max(axis=1)
-        c3[sl] = slab_cols @ nu2
+        c3 = max(c3, (slab_cols @ nu2).max())
         best_col[sl] = slab_cols
         best_row[sl] = R.reshape(n1, w, n2y).max(axis=0)
         if trials is not None:
             cols = s1 if trials.p == 1.0 else lp_norms(A, mu1, trials.p, axis=0)
             imgs = lp_norms(np.abs(_apply_slab(vals, trials.weighted)), mu1, trials.p, axis=0)
-            if trials.q == INF:
-                np.maximum(col_inner[0], cols.max(axis=0), out=col_inner[0])
-                np.maximum(img_inner[0], imgs.max(axis=0), out=img_inner[0])
-            else:
-                col_inner[sl] = cols
-                img_inner[sl] = imgs
+            col_norms = _merge_lq(col_norms, lp_norms(cols, mu2[sl], trials.q, axis=0), trials.q)
+            img_norms = _merge_lq(img_norms, lp_norms(imgs, mu2[sl], trials.q, axis=0), trials.q)
             del cols, imgs
         del vals, A, s1, R  # one slab and its modulus alive while the next is built
-    constants = SchurConstants(float(c1), float(col.max()), float(c3.max()), float((mu2 @ best_row).max()))
+    constants = SchurConstants(float(c1), float(col.max()), float(c3), float((mu2 @ best_row).max()))
     if trials is None:
         return _Scan(constants, best_row, best_col, None)
 
     p, q = trials.p, trials.q
-    col_norms = lp_norms(col_inner, mu2, q, axis=0) * K.Y.mass_grid  # (y1, y2)
     pm_norms = np.multiply.outer(nu1 ** (1.0 / p), nu2 ** (1.0 / q))
-    best = float((col_norms / pm_norms).max())
-    nums = lp_norms(img_inner, mu2, q, axis=0)
+    best = float((col_norms * K.Y.mass_grid / pm_norms).max())
     dens = mixed_norm_values(np.abs(trials.batch), nu1, nu2, p, q)
     ok = dens > 0
     if np.any(ok):
-        best = max(best, float((nums[ok] / dens[ok]).max()))
+        best = max(best, float((img_norms[ok] / dens[ok]).max()))
     return _Scan(constants, best_row, best_col, best)
 
 

@@ -3,8 +3,10 @@
 Everything here recomputes quantities of the main modules by direct
 enumeration, deliberately avoiding the code paths it cross-checks.
 `brute_rho` and `brute_corner_opnorm` use plain Python loops;
-`brute_sum_norm_upper` evaluates its candidate decompositions in batches
-with its own sums and maxima and never calls `mixed_norm`. Exponential
+`brute_sum_norm_upper` evaluates its single-part and random candidate
+decompositions in batches with its own sums and maxima, but takes its
+thresholding candidate from `split_four(F).corner_norms()`, which makes
+four `mixed_norm` calls. Exponential
 blow-up is accepted (and capped); these exist for trustworthiness, not
 speed.
 """
@@ -154,9 +156,11 @@ def brute_sum_norm_upper(F: GridFunction, trials: int = 32, seed: int = 0) -> fl
     `upper_estimate_le_norm_sum` holds by construction.
 
     The single-part and random candidates are reduced in batches with this
-    function's own sums and maxima; the random splits are drawn in chunks
-    of at most `_CHUNK_BYTES`, which consumes the generator's stream exactly
-    as one draw per trial would.
+    function's own sums and maxima. The thresholding split's norm sum is
+    `split_four(F).corner_norms()`, four calls of `mixed_norm`, so that one
+    candidate shares its code with the fast path. The random splits are
+    drawn in chunks of at most `_CHUNK_BYTES`, which consumes the
+    generator's stream exactly as one draw per trial would.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -217,6 +217,50 @@ def test_coorbit_margin_never_passes_for_parseval_frames(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "frame",
+    [
+        {"type": "gabor", "N": True, "window": [1]},
+        {"type": "gabor", "N": 2.0, "window": [1, 1]},
+        {"type": "gabor", "N": 2, "window": ["1.5", "2"]},
+        {"type": "gabor", "N": 2, "window": [[1, "0"], 2]},
+        {"type": "gabor", "N": 2, "window": [True, 1]},
+        {"type": "gabor", "N": 2, "window": "12"},
+    ],
+)
+def test_frame_needs_an_integer_n_and_number_window_entries(tmp_path, capsys, frame):
+    _, _, covfile = _covering_files(tmp_path)
+    good = _write(tmp_path / "good.json", {"type": "gabor", "N": 2, "window": [[1.5, 0], 2]})
+    assert run(["coorbit", "--frame", good, "--covering", covfile]) in (0, 1)
+    capsys.readouterr()
+    bad = _write(tmp_path / "frame.json", json.dumps(frame))
+    code, cert, err = _run(capsys, ["coorbit", "--frame", bad, "--covering", covfile])
+    assert code == 2 and cert is None
+    assert "frame JSON" in err or "window entries" in err, err
+
+
+def test_weights_off_the_covered_or_index_space_exit_2(tmp_path, capsys):
+    K, kfile, covfile = _covering_files(tmp_path)
+    X = K.X
+    framefile = _write(tmp_path / "frame.json", {"type": "gabor", "N": 2, "window": [1, 2]})
+    heavy = sk.ProductSpace(sk.Space([0, 1], [5.0, 7.0]), X.factor2)  # other masses
+    relabelled = sk.ProductSpace(X.factor1, sk.Space(["a", "b"], [1.0, 1.0]))  # other points
+    flags = {
+        "u": [["covering", "--kernel", kfile, "--covering", covfile], ["coorbit", "--frame", framefile, "--covering", covfile]],
+        "v": [["coorbit", "--frame", framefile, "--covering", covfile]],
+    }
+    for what, commands in flags.items():
+        for command in commands:
+            good = _write(tmp_path / "good.json", dump_grid_function(sk.GridFunction(X, np.full((2, 2), 2.0))))
+            assert run(command + [f"--{what}", good]) in (0, 1)
+            capsys.readouterr()
+            for space in (heavy, relabelled):
+                bad = _write(tmp_path / "bad.json", dump_grid_function(sk.GridFunction(space, np.full((2, 2), 2.0))))
+                code, cert, err = _run(capsys, command + [f"--{what}", bad])
+                assert code == 2 and cert is None, (command, what)
+                assert f"weight {what} does not live on" in err, err
+
+
 def test_counterexample_subcommand(capsys):
     code, cert, _ = _run(capsys, ["counterexample", "--N", "4", "--M", "32"])
     assert code == 0

@@ -42,6 +42,17 @@ def test_finite_frame_rejects_non_parseval_family():
         sk.FiniteFrame(X, vecs, tol=1e-8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(-np.inf, 0)])
+def test_finite_frame_rejects_non_finite_vectors(bad):
+    # a nan vector makes the Parseval defect nan, which no `defect > tol` refuses
+    X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(1))
+    vecs = np.array([[[1.0, 0.0]], [[0.0, 1.0]]], dtype=complex)
+    assert sk.FiniteFrame(X, vecs.copy()).parseval_defect() == 0.0
+    vecs[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sk.FiniteFrame(X, vecs)
+
+
 def test_voice_transform_parseval_and_linear():
     rng = np.random.default_rng(1)
     frame = sk.gabor_frame(8, rng.standard_normal(8) + 1j * rng.standard_normal(8))

@@ -411,42 +411,67 @@ def test_one_pass_matches_two_pass_reference(complex_values, slab_bytes, monkeyp
             assert sk.opnorm_lower_search(kernel, p, q, trials=40, seed=7) == got_lower
 
 
-def _gathered_inf_lower(K, p, trials, seed):
-    # the lower search at q = inf from the full (x2, y1, y2) grid of column x1-norms and
-    # the full (x2, trial) grid of image x1-norms, each reduced over x2 once at the end
-    t = sk.operators._draw_trials(K, p, INF, trials, seed)
-    mu1, nu1, nu2 = K.X.factor1.masses, K.Y.factor1.masses, K.Y.factor2.masses
+def _gathered_lower(K, p, q, trials, seed):
+    # the lower search from the full (x2, y1, y2) grid of column x1-norms and the full
+    # (x2, trial) grid of image x1-norms, each reduced over x2 once at the end
+    t = sk.operators._draw_trials(K, p, q, trials, seed)
+    mu1, mu2, nu1, nu2 = K.X.factor1.masses, K.X.factor2.masses, K.Y.factor1.masses, K.Y.factor2.masses
     cols, imgs = [], []
     for _, vals in K.slabs():
         cols.append(lp_norms(np.abs(vals), mu1, t.p, axis=0))
         imgs.append(lp_norms(np.abs(sk.operators._apply_slab(vals, t.weighted)), mu1, t.p, axis=0))
     col_grid, img_grid = np.concatenate(cols), np.concatenate(imgs)
-    assert col_grid.shape == (len(K.X.factor2.masses),) + K.Y.shape
-    col_norms = col_grid.max(axis=0) * K.Y.mass_grid
-    best = float((col_norms / (nu1 ** (1.0 / t.p))[:, None]).max())  # a point mass's L^{p,inf} norm
-    dens = mixed_norm_values(np.abs(t.batch), nu1, nu2, t.p, INF)
+    assert col_grid.shape == (len(mu2),) + K.Y.shape
+    col_norms = lp_norms(col_grid, mu2, t.q, axis=0) * K.Y.mass_grid
+    best = float((col_norms / np.multiply.outer(nu1 ** (1.0 / t.p), nu2 ** (1.0 / t.q))).max())
+    dens = mixed_norm_values(np.abs(t.batch), nu1, nu2, t.p, t.q)
     ok = dens > 0
     if np.any(ok):
-        best = max(best, float((img_grid.max(axis=0)[ok] / dens[ok]).max()))
+        best = max(best, float((lp_norms(img_grid, mu2, t.q, axis=0)[ok] / dens[ok]).max()))
     return best
 
 
-def test_running_max_at_q_inf_equals_the_gathered_grid(monkeypatch):
+def test_running_lq_over_x2_equals_the_gathered_grid(monkeypatch):
+    # the merge across slabs is a maximum at q = inf, and there is none on a one-slab
+    # kernel, so both are bitwise; at finite q each merge adds a power and a root
     rng = np.random.default_rng(25)
     for i in range(12):
         X = sk.ProductSpace(rand_space(rng, int(rng.integers(1, 5))), rand_space(rng, int(rng.integers(3, 9))))
         Y = sk.ProductSpace(rand_space(rng, int(rng.integers(1, 5))), rand_space(rng, int(rng.integers(1, 5))))
         K = rand_kernel(rng, X, Y, complex_values=i % 2 == 1)
-        width = int(rng.integers(1, 3))  # x2 columns a slab
-        monkeypatch.setattr(sk.operators, "_SLAB_BYTES", width * X.factor1.size * Y.size * K.values.itemsize)
         lazy = sk.SlabKernel(X, Y, K.values.dtype, lambda sl, K=K: K.values[:, sl])
-        for kernel in (K, lazy):
-            assert len(list(kernel.slabs())) >= 2
-            for p in (1.0, 2.0, 3.5, INF):
-                trials = int(rng.integers(1, Y.size + 12))
-                constants, lower = sk.schur_scan(kernel, p, INF, trials=trials, seed=i)
-                assert constants == sk.schur_constants(kernel)
-                assert lower == _gathered_inf_lower(kernel, p, trials, i)
+        for width in (1, 2, X.factor2.size):  # x2 columns a slab
+            monkeypatch.setattr(sk.operators, "_SLAB_BYTES", width * X.factor1.size * Y.size * K.values.itemsize)
+            one_slab = width == X.factor2.size
+            for kernel in (K, lazy):
+                assert (len(list(kernel.slabs())) == 1) == one_slab
+                for p in (1.0, 2.0, 3.5, INF):
+                    for q in (1.0, 1.5, 3.0, INF):
+                        trials = int(rng.integers(1, Y.size + 12))
+                        constants, lower = sk.schur_scan(kernel, p, q, trials=trials, seed=i)
+                        assert constants == sk.schur_constants(kernel)
+                        want = _gathered_lower(kernel, p, q, trials, i)
+                        if q == INF or one_slab:
+                            assert lower == want
+                        else:
+                            assert lower == pytest.approx(want, rel=1e-13)
+
+
+def test_running_lq_over_x2_is_max_scaled(monkeypatch):
+    # entries of 1e200 overflow an unscaled power sum over x2 at q = 3, in a slab and in
+    # every merge of two slabs' norms
+    rng = np.random.default_rng(27)
+    X = sk.ProductSpace(rand_space(rng, 3), rand_space(rng, 7))
+    Y = sk.ProductSpace(rand_space(rng, 2), rand_space(rng, 3))
+    unit = rand_kernel(rng, X, Y)
+    K = sk.Kernel(X, Y, unit.values * 1e200)
+    monkeypatch.setattr(sk.operators, "_SLAB_BYTES", 2 * X.factor1.size * Y.size * 8)
+    assert len(list(K.slabs())) >= 3
+    for p in (1.0, 2.0, INF):
+        _, lower = sk.schur_scan(K, p, 3.0, trials=20, seed=3)
+        assert np.isfinite(lower)
+        assert lower == pytest.approx(_gathered_lower(K, p, 3.0, 20, 3), rel=1e-13)
+        assert lower == pytest.approx(1e200 * sk.schur_scan(unit, p, 3.0, trials=20, seed=3)[1], rel=1e-13)
 
 
 def test_slab_slices_stay_within_the_budget_unless_one_column(monkeypatch):
@@ -554,6 +579,23 @@ def test_counterexample_at_n32_peaks_under_8_mib():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_finite_q_scan_keeps_no_x2_grid():
+    import tracemalloc
+
+    # a running L^q over x2 holds no (x2, y1, y2) grid of column norms nor an (x2, trials)
+    # grid of image norms, so finite q costs about what q = inf does (1.62x when gathered)
+    K, _ = sk.counterexample_kernel(32, 64)
+    peaks = {}
+    for p, q in [(1, INF), (2, 3)]:
+        tracemalloc.start()
+        try:
+            sk.schur_scan(K, p, q)
+            peaks[q] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[3] < 1.45 * peaks[INF]
 
 
 def test_slab_kernel_drops_a_slab_once_yielded(monkeypatch):
