@@ -17,17 +17,13 @@ import functools
 import hashlib
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .coorbit import coorbit_report, counterexample_kernel
-from .coverings import (
-    covering_weights,
-    maximal_kernel,
-    oscillation,
-    validate_covering,
-)
+from .coverings import covering_weights, maximal_kernel, oscillation, special_linfty_weight, validate_covering
 from .jsonio import (
     _Owned,
     dump_kernel,
@@ -116,37 +112,15 @@ class _Inputs:
         return obj
 
 
-def _check_le(name: str, lhs: float, rhs: float, tol: float) -> dict:
-    return {
-        "name": name,
-        "kind": "le",
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "tolerance": tol,
-        "pass": bool(lhs <= rhs + tol * max(1.0, abs(rhs))),
-    }
+def _check(kind: str, name: str, lhs: float, rhs: float, tol: float = 0.0) -> dict:
+    """One asserted relation lhs <= rhs ("le"), lhs == rhs ("eq") or lhs < rhs ("lt").
 
-
-def _check_eq(name: str, lhs: float, rhs: float, tol: float) -> dict:
-    return {
-        "name": name,
-        "kind": "eq",
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "tolerance": tol,
-        "pass": bool(abs(lhs - rhs) <= tol * max(1.0, abs(rhs))),
-    }
-
-
-def _check_flag(name: str, flag: bool) -> dict:
-    return {
-        "name": name,
-        "kind": "eq",
-        "lhs": 1.0 if flag else 0.0,
-        "rhs": 1.0,
-        "tolerance": 0.0,
-        "pass": bool(flag),
-    }
+    The tolerance is relative: each relation is loosened by tol * max(1, |rhs|).
+    """
+    lhs, rhs = float(lhs), float(rhs)
+    slack = tol * max(1.0, abs(rhs))
+    passed = {"le": lhs <= rhs + slack, "eq": abs(lhs - rhs) <= slack, "lt": lhs < rhs + slack}[kind]
+    return {"name": name, "kind": kind, "lhs": lhs, "rhs": rhs, "tolerance": tol, "pass": passed}
 
 
 def _certificate(command: str, args, inputs: _Inputs, quantities: dict, checks: list, extra: dict | None = None) -> dict:
@@ -174,6 +148,8 @@ def _cmd_norm(args):
     inputs = _Inputs()
     if (args.kernel is None) == (args.function is None):
         raise ValueError("norm needs exactly one of --kernel / --function")
+    if args.function is not None and args.weight is not None:
+        raise ValueError("--weight applies to --kernel only")
     quantities: dict = {}
     if args.function is not None:
         f = inputs.load("function", args.function, load_grid_function)
@@ -210,12 +186,12 @@ def _cmd_schur(args):
         "schur_bound": bound,
         "opnorm_lower": lower,
     }
-    checks = [_check_le("opnorm_lower_le_schur_bound", lower, bound, args.tolerance)]
+    checks = [_check("le", "opnorm_lower_le_schur_bound", lower, bound, args.tolerance)]
     corner = _CORNER_CONSTANT.get((p, q))
     if corner is not None and K.is_nonnegative:
         exact = corner_opnorm(K, p, q)
         quantities["corner_opnorm"] = exact
-        checks.append(_check_eq(f"corner_opnorm_equals_{corner}", exact, quantities[corner], args.tolerance))
+        checks.append(_check("eq", f"corner_opnorm_equals_{corner}", exact, quantities[corner], args.tolerance))
     return _certificate("schur", args, inputs, quantities, checks)
 
 
@@ -245,7 +221,7 @@ def _cmd_compose(args):
         "factor_constant": factor,
     }
     checks = [
-        _check_le("product_submultiplicative", nb_product, factor * nb_left * nb_right, args.tolerance)
+        _check("le", "product_submultiplicative", nb_product, factor * nb_left * nb_right, args.tolerance)
     ]
     return _certificate("compose", args, inputs, quantities, checks, {"kernel": dump_kernel(product)})
 
@@ -260,17 +236,17 @@ def _cmd_sumnorm(args):
     pairing = associate_pairing_sup(F)
     upper = brute_sum_norm_upper(F, trials=args.trials, seed=args.seed)
     checks = [
-        _check_le("rho_tensor_le_norm_sum", rt, norm_sum, args.tolerance),
-        _check_le("norm_sum_le_16_rho_tensor", norm_sum, 16.0 * rt, args.tolerance),
-        _check_le("pairing_ge_rho_tensor_over_16", rt / 16.0, pairing, args.tolerance),
-        _check_le("upper_estimate_le_norm_sum", upper, norm_sum, args.tolerance),
+        _check("le", "rho_tensor_le_norm_sum", rt, norm_sum, args.tolerance),
+        _check("le", "norm_sum_le_16_rho_tensor", norm_sum, 16.0 * rt, args.tolerance),
+        _check("le", "pairing_ge_rho_tensor_over_16", rt / 16.0, pairing, args.tolerance),
+        _check("le", "upper_estimate_le_norm_sum", upper, norm_sum, args.tolerance),
     ]
     for i, (norm, pq) in enumerate(zip(part_norms, ("1_1", "inf_inf", "1_inf", "inf_1")), start=1):
-        checks.append(_check_le(f"part{i}_L{pq}_le_4_rho_tensor", norm, 4.0 * rt, args.tolerance))
+        checks.append(_check("le", f"part{i}_L{pq}_le_4_rho_tensor", norm, 4.0 * rt, args.tolerance))
     # the greedy partner attains rho_tensor; weak duality puts its pairing
     # below the norm sum of every decomposition, the oracle's included
-    checks.append(_check_le("rho_tensor_le_pairing_lower", rt, pairing, args.tolerance))
-    checks.append(_check_le("pairing_lower_le_sum_norm_upper", pairing, upper, args.tolerance))
+    checks.append(_check("le", "rho_tensor_le_pairing_lower", rt, pairing, args.tolerance))
+    checks.append(_check("le", "pairing_lower_le_sum_norm_upper", pairing, upper, args.tolerance))
     quantities = {
         "rho_tensor": rt,
         "intersection_norm": intersection_norm(F),
@@ -291,15 +267,8 @@ def _cmd_covering(args):
     cov = inputs.load("covering", args.covering, lambda obj: load_covering(obj, K.X))
     u = inputs.load("u", args.u, load_grid_function) if args.u else None
     report = validate_covering(cov, u)
-    quantities: dict = {
-        "covers": report.covers,
-        "patch_positive": list(report.patch_positive),
-        "comparability": report.comparability,
-        "intersection_number": report.intersection_number,
-    }
-    if report.moderateness is not None:
-        quantities["moderateness"] = report.moderateness
-    checks = [_check_flag("covering_admissible", report.admissible)]
+    quantities = {key: value for key, value in asdict(report).items() if value is not None}
+    checks = [_check("eq", "covering_admissible", report.admissible, 1.0)]
     extra: dict = {}
     if report.admissible:
         weights, _, c0 = covering_weights(cov)
@@ -313,12 +282,7 @@ def _cmd_covering(args):
         quantities["norm_b_maximal"] = norm_B(maximal)
         quantities["norm_b_oscillation"] = norm_B(osc)
         checks.append(
-            _check_le(
-                "kernel_le_maximal",
-                float((np.abs(K.values) - maximal.values).max()),
-                0.0,
-                args.tolerance,
-            )
+            _check("le", "kernel_le_maximal", (np.abs(K.values) - maximal.values).max(), 0.0, args.tolerance)
         )
         extra["maximal_kernel"] = dump_kernel(maximal)
         extra["oscillation_kernel"] = dump_kernel(osc)
@@ -335,8 +299,7 @@ def _cmd_coorbit(args):
     if args.v:
         v = inputs.load("v", args.v, load_grid_function)
     else:
-        _, wc, _ = covering_weights(cov)
-        v = GridFunction(space, np.maximum(frame.vector_norms(), u.values / wc.values))
+        v = GridFunction(space, np.maximum(frame.vector_norms(), special_linfty_weight(cov, u).values))
     m0 = (
         inputs.load("m0", args.m0, load_weight_grid)
         if args.m0
@@ -345,31 +308,10 @@ def _cmd_coorbit(args):
     # without --majorant, coorbit_report takes the patch-maximal kernel it computes
     L = inputs.load("majorant", args.majorant, load_kernel) if args.majorant else None
     report = coorbit_report(frame, cov, u, v, m0, L)
-    quantities = {
-        "norm_a_mv": report.norm_a_mv,
-        "norm_b_kpsi": report.norm_b_kpsi,
-        "norm_b_majorant": report.norm_b_majorant,
-        "covering_admissible": report.covering_admissible,
-        "u_moderateness": report.u_moderateness,
-        "v_at_least_one": report.v_at_least_one,
-        "v_domination_constant": report.v_domination_constant,
-        "m0_symmetric": report.m0_symmetric,
-        "m0_pair_constant": report.m0_pair_constant,
-        "kernel_dominated": report.kernel_dominated,
-        "margin": report.margin,
-        "margin_pass": report.margin_pass,
-        "all_pass": report.all_pass,
-    }
+    quantities = asdict(report) | {"margin_pass": report.margin_pass, "all_pass": report.all_pass}
     checks = [
-        _check_flag("hypotheses_pass", report.all_pass),
-        {
-            "name": "margin_lt_one",
-            "kind": "lt",
-            "lhs": report.margin,
-            "rhs": 1.0,
-            "tolerance": 0.0,
-            "pass": report.margin_pass,
-        },
+        _check("eq", "hypotheses_pass", report.all_pass, 1.0),
+        _check("lt", "margin_lt_one", report.margin, 1.0),
     ]
     return _certificate("coorbit", args, inputs, quantities, checks)
 
@@ -378,9 +320,9 @@ def _cmd_counterexample(args):
     inputs = _Inputs()
     _, diag = counterexample_kernel(args.N, args.M, trials=args.trials, seed=args.seed)
     checks = [
-        _check_eq("c1_matches_analytic", diag["c1"], diag["c1_analytic"], args.tolerance),
-        _check_eq("c3_matches_analytic", diag["c3"], diag["c3_analytic"], args.tolerance),
-        _check_le("sampled_lower_le_ell2_upper", diag["corner_1inf_lower"], diag["corner_1inf_upper"], args.tolerance),
+        _check("eq", "c1_matches_analytic", diag["c1"], diag["c1_analytic"], args.tolerance),
+        _check("eq", "c3_matches_analytic", diag["c3"], diag["c3_analytic"], args.tolerance),
+        _check("le", "sampled_lower_le_ell2_upper", diag["corner_1inf_lower"], diag["corner_1inf_upper"], args.tolerance),
     ]
     return _certificate("counterexample", args, inputs, dict(diag), checks)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverings import RectCovering, covering_weights, maximal_kernel, validate_covering
+from .coverings import RectCovering, maximal_kernel, special_linfty_weight, validate_covering
 from .kernel_algebra import WeightGrid, mv_weight, norm_A, norm_B
 from .measure import ProductSpace, Space, counting_space
 from .mixed_norm import INF, GridFunction, mixed_norm
@@ -48,7 +48,7 @@ class FiniteFrame:
     __slots__ = ("space", "vectors", "dim")
 
     def __init__(self, space: ProductSpace, vectors, tol: float = 1e-8):
-        vecs = np.asarray(vectors, dtype=complex)
+        vecs = np.array(vectors, dtype=complex)  # a copy: freezing it leaves the caller's array writable
         if vecs.ndim != 3 or vecs.shape[:2] != space.shape:
             raise ValueError("vectors must have shape space.shape + (dim,)")
         if not np.isfinite(vecs).all():
@@ -187,8 +187,7 @@ def coorbit_report(
     norm_b_kpsi = norm_B(K, m0)
     norm_b_majorant = norm_B(L, m0)
 
-    _, wc, _ = covering_weights(cov)
-    target = np.maximum(frame.vector_norms(), u.values / wc.values)
+    target = np.maximum(frame.vector_norms(), special_linfty_weight(cov, u).values)
     v_dom = float((target / v.values).max())
     v_ok = bool(np.all(v.values >= 1.0 - 1e-12))
 

@@ -118,6 +118,11 @@ class CoveringReport:
         return self.covers and all(self.patch_positive)
 
 
+def _memberships(cov: RectCovering) -> tuple[np.ndarray, np.ndarray]:
+    """(patch, flat point) index pairs, one per point of each patch, patch-major."""
+    return np.nonzero(cov.product_masks.reshape(len(cov), -1))
+
+
 def validate_covering(cov: RectCovering, u: GridFunction | None = None) -> CoveringReport:
     """Check the covering axioms and measure the covering's constants.
 
@@ -125,37 +130,37 @@ def validate_covering(cov: RectCovering, u: GridFunction | None = None) -> Cover
     mass, the smallest C with w_i <= C * w_j over intersecting patch pairs
     (1 when no two patches intersect), the intersection number (each patch
     counts itself), and — when a positive weight u is supplied — the smallest
-    C' with u(x) <= C' * u(y) for x, y in a common patch.
+    C' with u(x) <= C' * u(y) for x, y in a common patch. Two rectangles
+    meet exactly when both of their factor sides meet.
     """
-    pm = cov.product_masks
     P = len(cov)
-    positive = tuple(bool(pm[j].any()) for j in range(P))
-
-    flat = pm.reshape(P, -1)
-    meets = (flat.astype(np.uint8) @ flat.astype(np.uint8).T) > 0  # (P, P)
-    sigma = int(meets.sum(axis=1).max())
-
     weights = cov.patch_weights()
-    comparability = 1.0
-    for i in range(P):
-        for j in range(P):
-            if i != j and meets[i, j] and weights[j] > 0:
-                comparability = max(comparability, float(weights[i] / weights[j]))
+    meets = cov.masks1 @ cov.masks1.T  # (P, P)
+    meets &= cov.masks2 @ cov.masks2.T
+    sigma = int(meets.sum(axis=1).max())
+    np.fill_diagonal(meets, False)
+    meets[:, weights <= 0] = False
+    # w_i over the least weight among i's partners is the largest w_i / w_k, rounding included
+    least = np.minimum.reduce(np.broadcast_to(weights, meets.shape), axis=1, where=meets, initial=np.inf)
+    del meets  # not held beside the (P, n1, n2) product masks
+    comparability = float((weights / least).max(initial=1.0))
+    positive = cov.product_masks.reshape(P, -1).any(axis=1)
 
     moderateness = None
     if u is not None:
         if u.space != cov.space:
             raise ValueError("weight u does not live on the covered space")
-        uv = u.values
-        if not u.is_real or np.any(uv <= 0):
+        if not u.is_real or np.any(u.values <= 0):
             raise ValueError("weight u must be strictly positive")
-        moderateness = 1.0
-        for j in range(P):
-            if positive[j]:
-                onpatch = uv[pm[j]]
-                moderateness = max(moderateness, float(onpatch.max() / onpatch.min()))
+        j, x = _memberships(cov)
+        ux = u.values.reshape(-1)[x]
+        hi = np.zeros(P)
+        lo = np.full(P, np.inf)
+        np.maximum.at(hi, j, ux)
+        np.minimum.at(lo, j, ux)
+        moderateness = float((hi[positive] / lo[positive]).max(initial=1.0))
 
-    return CoveringReport(cov.covers(), positive, comparability, sigma, moderateness)
+    return CoveringReport(cov.covers(), tuple(positive.tolist()), comparability, sigma, moderateness)
 
 
 def covering_weights(cov: RectCovering) -> tuple[np.ndarray, GridFunction, float]:
@@ -171,19 +176,10 @@ def covering_weights(cov: RectCovering) -> tuple[np.ndarray, GridFunction, float
     weights = cov.patch_weights()
     if np.any(weights <= 0):
         raise ValueError("every patch must have positive product mass")
-
-    pm = cov.product_masks
-    wc = np.zeros(cov.space.shape)
-    assigned = np.zeros(cov.space.shape, dtype=bool)
-    for j in range(len(cov)):
-        fresh = pm[j] & ~assigned
-        wc[fresh] = weights[j]
-        assigned |= pm[j]
-
-    c0 = 1.0
-    for j in range(len(cov)):
-        ratio = wc[pm[j]] / weights[j]
-        c0 = max(c0, float((ratio + 1.0 / ratio).max() / 2.0))
+    wc = weights[cov.product_masks.argmax(axis=0)]  # the first patch holding each point
+    j, x = _memberships(cov)
+    ratio = wc.reshape(-1)[x] / weights[j]
+    c0 = max(1.0, float((ratio + 1.0 / ratio).max() / 2.0))
     return weights, GridFunction(cov.space, wc), c0
 
 
@@ -241,9 +237,9 @@ def oscillation(K: Kernel, cov: RectCovering, phase: PhaseGrid | None = None) ->
 
 def special_linfty_weight(cov: RectCovering, u: GridFunction) -> GridFunction:
     """The target weight v = u / (continuous covering weight), pointwise."""
-    _, wc, _ = covering_weights(cov)
     if u.space != cov.space:
-        raise ValueError("weight does not live on the covered space")
+        raise ValueError("weight u does not live on the covered space")
+    _, wc, _ = covering_weights(cov)
     return GridFunction(cov.space, u.values / wc.values)
 
 
@@ -304,10 +300,8 @@ def sup_bound_certificate(
 
     c4 = float(report.moderateness)
 
-    c5 = 1.0
-    for j in range(len(cov)):
-        c5 = max(c5, float(wc.values[cov.product_masks[j]].max() / weights[j]))
+    j, x = _memberships(cov)
+    c5 = max(1.0, float((wc.values.reshape(-1)[x] / weights[j]).max()))
 
     c6 = c2 * c3 * c4 * c5
-    v = GridFunction(space, u.values / wc.values)
-    return SupBoundCertificate(c1, c2, c3, c4, c5, c6, v)
+    return SupBoundCertificate(c1, c2, c3, c4, c5, c6, special_linfty_weight(cov, u))

@@ -233,15 +233,7 @@ def dual_extremizer(f: GridFunction, p, q) -> GridFunction:
     g0 = _slice_extremizer(F, inner, m1, p)
 
     total = lp_norms(inner, m2, q, axis=0)
-    h = np.zeros(len(m2))
-    if total > 0:
-        if q == 1.0:
-            h[:] = 1.0
-        elif q == INF:
-            j = int(np.argmax(inner))
-            h[j] = 1.0 / m2[j]
-        else:
-            h = (inner / total) ** (q - 1.0)
+    h = _slice_extremizer(inner[:, None], total.reshape(1), m2, q)[:, 0]
     return GridFunction(f.space, g0 * h[None, :])
 
 

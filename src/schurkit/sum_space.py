@@ -49,7 +49,7 @@ class FactorFunction:
     def __init__(self, space: Space, values):
         if not isinstance(space, Space):
             raise TypeError("expected a single-factor Space")
-        vals = np.asarray(values, dtype=float)
+        vals = np.array(values, dtype=float)  # a copy: freezing it leaves the caller's array writable
         if vals.shape != (space.size,):
             raise ValueError(f"values shape {vals.shape} does not match space size {space.size}")
         if np.any(np.isnan(vals)) or np.any(vals < 0):

@@ -96,6 +96,15 @@ def test_norm_requires_exactly_one_input(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_norm_refuses_a_weight_in_function_mode(tmp_path, capsys):
+    ffile = _grid_file(tmp_path, [[1, 2], [3, 4]])
+    X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(2))
+    wfile = _write(tmp_path / "w.json", dump_kernel(sk.WeightGrid(X, X, np.full((2, 2, 2, 2), 2.0))))
+    code, cert, err = _run(capsys, ["norm", "--function", ffile, "--weight", wfile])
+    assert code == 2 and cert is None
+    assert "--weight applies to --kernel only" in err, err
+
+
 def test_compose_frozen_product(tmp_path, capsys):
     afile = _write(tmp_path / "a.json", dump_kernel(sk.lift_plain_kernel([[1.0, 1.0], [0.0, 1.0]])))
     bfile = _write(tmp_path / "b.json", dump_kernel(sk.lift_plain_kernel([[1.0, 0.0], [1.0, 1.0]])))
@@ -259,6 +268,13 @@ def test_weights_off_the_covered_or_index_space_exit_2(tmp_path, capsys):
                 code, cert, err = _run(capsys, command + [f"--{what}", bad])
                 assert code == 2 and cert is None, (command, what)
                 assert f"weight {what} does not live on" in err, err
+    # the default --v divides u by w^c, which names u before any shape clash
+    frame4 = _write(tmp_path / "frame4.json", {"type": "gabor", "N": 4, "window": [1, 2, 3, 4]})
+    cov4 = _write(tmp_path / "cov4.json", {"patches": [{"V": [0, 1, 2, 3], "W": [0, 1, 2, 3]}]})
+    u3 = _write(tmp_path / "u3.json", dump_grid_function(sk.GridFunction(sk.ProductSpace(sk.counting_space(3), sk.counting_space(3)), np.ones((3, 3)))))
+    code, cert, err = _run(capsys, ["coorbit", "--frame", frame4, "--covering", cov4, "--u", u3])
+    assert code == 2 and cert is None
+    assert "weight u does not live on" in err, err
 
 
 def test_counterexample_subcommand(capsys):

@@ -53,6 +53,16 @@ def test_finite_frame_rejects_non_finite_vectors(bad):
         sk.FiniteFrame(X, vecs)
 
 
+def test_finite_frame_copies_the_callers_vectors():
+    X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(1))
+    vecs = np.array([[[1.0, 0.0]], [[0.0, 1.0]]], dtype=complex)
+    frame = sk.FiniteFrame(X, vecs)
+    assert vecs.flags.writeable
+    vecs[0, 0, 0] = 5.0
+    assert frame.vectors[0, 0, 0] == 1.0
+    assert not frame.vectors.flags.writeable
+
+
 def test_voice_transform_parseval_and_linear():
     rng = np.random.default_rng(1)
     frame = sk.gabor_frame(8, rng.standard_normal(8) + 1j * rng.standard_normal(8))

@@ -68,6 +68,95 @@ def test_validate_covering_flags_gaps():
     assert not report.admissible
 
 
+_FULL16 = (range(16), range(16))
+_MASS01 = sk.ProductSpace(sk.Space(range(32), np.full(32, 0.01)), sk.Space(range(16), np.full(16, 0.01)))
+
+
+@pytest.mark.parametrize(
+    "space, patches, field, expected",
+    [
+        (_counting_square(16), [_FULL16], "intersection_number", 1),
+        (_counting_square(16), [_FULL16, _FULL16], "intersection_number", 2),
+        (_MASS01, [_FULL16, (range(32), range(16))], "comparability", 2.0),
+    ],
+    ids=["one-full-patch", "two-full-patches", "nested-comparability"],
+)
+def test_patches_sharing_256_points_meet(space, patches, field, expected):
+    # a count of shared points held in uint8 wraps to 0 at 256 and hides the meeting
+    report = sk.validate_covering(sk.RectCovering(space, patches))
+    assert getattr(report, field) == pytest.approx(expected, rel=1e-12)
+
+
+def _reference_constants(cov, u):
+    """Plain loops over patches, pairs and points: report, w^c, C0, u / w^c and c5."""
+    pm, weights, P = cov.product_masks, cov.patch_weights(), len(cov)
+    positive = tuple(bool(pm[j].any()) for j in range(P))
+    meets = [[bool((pm[i] & pm[k]).any()) for k in range(P)] for i in range(P)]
+    comparability = 1.0
+    for i in range(P):
+        for k in range(P):
+            if i != k and meets[i][k] and weights[k] > 0:
+                comparability = max(comparability, float(weights[i] / weights[k]))
+    moderateness = 1.0
+    for j in range(P):
+        if positive[j]:
+            on = u.values[pm[j]]
+            moderateness = max(moderateness, float(on.max() / on.min()))
+    covers = all(pm[:, a, b].any() for a in range(pm.shape[1]) for b in range(pm.shape[2]))
+    report = sk.CoveringReport(covers, positive, comparability, max(map(sum, meets)), moderateness)
+    if not covers or min(weights) <= 0:
+        return report, None
+    wc = np.zeros(cov.space.shape)
+    for a in range(wc.shape[0]):
+        for b in range(wc.shape[1]):
+            wc[a, b] = weights[next(j for j in range(P) if pm[j, a, b])]
+    c0 = c5 = 1.0
+    for j in range(P):
+        for a, b in zip(*np.nonzero(pm[j])):
+            r = wc[a, b] / weights[j]
+            c0 = max(c0, float((r + 1.0 / r) / 2.0))
+            c5 = max(c5, float(r))
+    return report, (wc, c0, u.values / wc, c5)
+
+
+def test_covering_constants_match_plain_loops():
+    rng = np.random.default_rng(22)
+    for trial in range(60):
+        n1, n2 = rng.integers(1, 5, size=2)
+        X = sk.ProductSpace(sk.Space(range(n1), 0.1 + rng.random(n1)), sk.Space(range(n2), 0.1 + rng.random(n2)))
+        patches = [([a for a in range(n1) if rng.random() < 0.5], [b for b in range(n2) if rng.random() < 0.5])
+                   for _ in range(rng.integers(1, 6))]  # empty sides and overlaps
+        patches += [patches[j] for j in rng.integers(0, len(patches), size=rng.integers(0, 3))]  # repeats
+        if rng.random() < 0.7:
+            patches.insert(int(rng.integers(0, len(patches) + 1)), (range(n1), range(n2)))
+        if rng.random() < 0.5:
+            patches = [(V, W) for V, W in patches if V and W] or [(range(n1), range(n2))]
+        cov = sk.RectCovering(X, patches)
+        u = rand_positive(rng, X)
+        expected, weighted = _reference_constants(cov, u)
+        assert sk.validate_covering(cov, u) == expected, trial
+        if weighted is None:
+            with pytest.raises(ValueError):
+                sk.covering_weights(cov)
+            continue
+        wc, c0, v, c5 = weighted
+        weights, got_wc, got_c0 = sk.covering_weights(cov)
+        assert np.array_equal(weights, cov.patch_weights())
+        assert np.array_equal(got_wc.values, wc) and got_c0 == c0, trial
+        assert np.array_equal(sk.special_linfty_weight(cov, u).values, v)
+        if expected.admissible:
+            L = sk.maximal_kernel(sk.Kernel(X, X, rng.random((n1, n2, n1, n2))), cov)
+            cert = sk.sup_bound_certificate(L, cov, u, sk.WeightGrid(X, X, np.ones((n1, n2, n1, n2))), 2, 2)
+            assert cert.c5 == c5 and np.array_equal(cert.v.values, v), trial
+
+
+def test_special_linfty_weight_checks_u_first():
+    X = _counting_square(2)
+    gap = sk.RectCovering(X, [([0], [0])])  # covering_weights would refuse it
+    with pytest.raises(ValueError, match="weight u does not live on the covered space"):
+        sk.special_linfty_weight(gap, sk.GridFunction(_counting_square(3), np.ones((3, 3))))
+
+
 def test_covering_weights_frozen_overlap():
     X = sk.ProductSpace(sk.Space([0, 1], [0.5, 2.0]), sk.counting_space(1))
     cov = sk.RectCovering(X, [([0], [0]), ([0, 1], [0])])

@@ -38,6 +38,15 @@ def test_factor_function_validation():
     assert f.values[0] == np.inf
 
 
+def test_factor_function_copies_the_callers_values():
+    values = np.array([2.0, 1.0])
+    f = sk.FactorFunction(sk.counting_space(2), values)
+    assert values.flags.writeable
+    values[0] = 7.0
+    assert f.values[0] == 2.0
+    assert not f.values.flags.writeable
+
+
 def test_rho_split_frozen():
     bounded, integrable = sk.rho_split(_factor([1, 1, 1], [3.0, 1.0, 0.0]))
     np.testing.assert_allclose(bounded.values, [3.0, 1.0, 0.0])
