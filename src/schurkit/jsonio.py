@@ -439,17 +439,19 @@ def dump_kernel(K: Kernel) -> dict:
 
 
 def _format_number(x: float) -> str:
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
+    if math.isfinite(x):
+        return format(x, ".17g")
     if math.isnan(x):
         raise ValueError("refusing to serialize NaN")
-    return format(x, ".17g")
+    return '"inf"' if x > 0 else '"-inf"'
 
 
 _ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
 
 
 def _escape(s: str) -> str:
+    if s.isprintable() and '"' not in s and "\\" not in s:  # nothing below 0x20 either
+        return s
     return s.translate(_ESCAPES)
 
 
@@ -696,44 +698,51 @@ def _emit_array(a: np.ndarray, pieces: list) -> None:
         pieces.pop()
 
 
-def _emit(obj, indent: int, pieces: list) -> None:
+def _emit_dict(obj: dict, indent: int, pieces: list) -> None:
+    if not obj:
+        pieces.append("{}")
+        return
     pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            pieces.append(f'{pad}  "{_escape(str(k))}": ')
-            _emit(v, indent + 1, pieces)
-            pieces.append(",\n" if i + 1 < len(obj) else "\n")
-        pieces.append(pad + "}")
+    pieces.append("{\n")
+    for k, v in obj.items():
+        pieces.append(f'{pad}  "{_escape(str(k))}": ')
+        _emit(v, indent + 1, pieces)
+        pieces.append(",\n")
+    pieces[-1] = "\n" + pad + "}"  # the last separator closes the object
+
+
+def _emit_seq(obj, indent: int, pieces: list) -> None:
+    if not obj:
+        pieces.append("[]")
+        return
+    pieces.append("[")
+    for v in obj:
+        _emit(v, indent, pieces)
+        pieces.append(", ")
+    pieces[-1] = "]"
+
+
+def _emit(obj, indent: int, pieces: list) -> None:
+    # most frequent kinds first; bool before int, since bool subclasses int
+    if isinstance(obj, (float, np.floating)):
+        pieces.append(_format_number(float(obj)))
+    elif isinstance(obj, str):
+        pieces.append(f'"{_escape(obj)}"')
+    elif isinstance(obj, dict):
+        _emit_dict(obj, indent, pieces)
+    elif isinstance(obj, (list, tuple)):
+        _emit_seq(obj, indent, pieces)
+    elif isinstance(obj, (bool, np.bool_)):
+        pieces.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        pieces.append(str(int(obj)))
     elif isinstance(obj, np.ndarray):
         if obj.ndim and obj.size and obj.dtype.kind == "f" and np.isfinite(obj).all():
             _emit_array(obj, pieces)
         else:  # infinities, NaN, other dtypes and empty arrays take the list path
             _emit(obj.tolist(), indent, pieces)
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            pieces.append("[]")
-            return
-        pieces.append("[")
-        for i, v in enumerate(seq):
-            _emit(v, indent, pieces)
-            if i + 1 < len(seq):
-                pieces.append(", ")
-        pieces.append("]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(_format_number(float(obj)))
     elif isinstance(obj, complex):
         _emit({"re": obj.real, "im": obj.imag}, indent, pieces)
-    elif isinstance(obj, str):
-        pieces.append(f'"{_escape(obj)}"')
     elif obj is None:
         pieces.append("null")
     else:

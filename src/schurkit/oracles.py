@@ -3,12 +3,12 @@
 Everything here recomputes quantities of the main modules by direct
 enumeration, deliberately avoiding the code paths it cross-checks.
 `brute_rho` and `brute_corner_opnorm` use plain Python loops;
-`brute_sum_norm_upper` evaluates its single-part and random candidate
-decompositions in batches with its own sums and maxima, but takes its
-thresholding candidate from `split_four(F).corner_norms()`, which makes
-four `mixed_norm` calls. Exponential
-blow-up is accepted (and capped); these exist for trustworthiness, not
-speed.
+`brute_sum_norm_upper` builds its own thresholding split (its splitting
+costs are minima over breakpoints, from sorted prefix sums) and evaluates
+it, the single-part and the random candidate decompositions in batches with
+its own sums and maxima. It calls nothing of `sum_space` or `mixed_norm`.
+Exponential blow-up is accepted (and capped); these exist for
+trustworthiness, not speed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .mixed_norm import INF, GridFunction
 from .operators import VERTEX_CAP, Kernel
-from .sum_space import FactorFunction, split_four
+from .sum_space import FactorFunction
 
 __all__ = ["brute_rho", "brute_corner_opnorm", "brute_sum_norm_upper"]
 
@@ -145,22 +145,58 @@ def _part_norm_sums(weights: np.ndarray, absF: np.ndarray, m1: np.ndarray, m2: n
     return l1 + linf + l1inf + linf1
 
 
+def _breakpoint_costs(vals: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """min over lam in {0} and the values of lam + sum((vals - lam)_+ * masses), per row.
+
+    With v_0 >= v_1 >= ... the values in descending order, and M_k and S_k
+    the mass and the mass-weighted sum of v_0 .. v_(k-1), the cost at
+    lam = v_k is v_k * (1 - M_k) + S_k, and at lam = 0 it is S_n. The cost
+    is convex in lam with slope 1 - (mass above lam), so its minimum is at
+    one of these breakpoints. Where M_k > 1 the factor 1 - M_k is clipped at 0: that
+    breakpoint's cost is then S_k, still above the minimum. An S_k can only
+    overflow there, and then gives inf. Rows of finite nonnegative values.
+    """
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    v = np.take_along_axis(vals, order, axis=-1)
+    m = masses[order]
+    zero = np.zeros(v.shape[:-1] + (1,))
+    M = np.concatenate([zero, np.cumsum(m, axis=-1)], axis=-1)
+    with np.errstate(over="ignore"):
+        S = np.concatenate([zero, np.cumsum(v * m, axis=-1)], axis=-1)
+    costs = v * np.maximum(1.0 - M[..., :-1], 0.0) + S[..., :-1]
+    return np.minimum(costs.min(axis=-1), S[..., -1])
+
+
+def _threshold_weights(absF: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The thresholding split of |F| as a (1, n1, n2, 4) block of 0/1 weights.
+
+    With the slice costs G(y) = cost(|F(., y)|) and alpha = cost(G), the
+    heavy slices are A = {G > 2 alpha} and the heavy points B = {|F| > 2 G};
+    the parts are A & B (L1), ~A & ~B (Linf), ~A & B (L{1,inf}) and
+    A & ~B (L{inf,1}).
+    """
+    G = _breakpoint_costs(np.ascontiguousarray(absF.T), m1)
+    A = G > 2.0 * _breakpoint_costs(G, m2)
+    B = absF > 2.0 * G
+    return np.stack([A & B, ~A & ~B, ~A & B, A & ~B], axis=-1)[None].astype(float)
+
+
 def brute_sum_norm_upper(F: GridFunction, trials: int = 32, seed: int = 0) -> float:
     """Upper estimate of the four-space sum norm by trying decompositions.
 
     Candidates: the thresholding split, the four single-part decompositions,
     and seeded random pointwise simplex splits. The reported minimum norm sum
     upper-bounds the true infimum and sits inside the 16x sandwich because
-    the thresholding split always participates; for the same reason it is
-    never above that split's norm sum, so the CLI check
-    `upper_estimate_le_norm_sum` holds by construction.
+    the thresholding split always participates.
 
-    The single-part and random candidates are reduced in batches with this
-    function's own sums and maxima. The thresholding split's norm sum is
-    `split_four(F).corner_norms()`, four calls of `mixed_norm`, so that one
-    candidate shares its code with the fast path. The random splits are
-    drawn in chunks of at most `_CHUNK_BYTES`, which consumes the
-    generator's stream exactly as one draw per trial would.
+    All candidates are reduced with this function's own sums and maxima
+    (`_part_norm_sums`): the thresholding split as one block, built by
+    `_threshold_weights` with the thresholds of `split_four` but its own
+    splitting costs, then the four single-part splits as one broadcast
+    block, then the random splits. Those are drawn in chunks of at most
+    `_CHUNK_BYTES`, which consumes the generator's stream exactly as one
+    draw per trial would. The CLI check `upper_estimate_le_norm_sum` thus
+    compares two independent routes to the same split's norm sum.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -169,7 +205,7 @@ def brute_sum_norm_upper(F: GridFunction, trials: int = 32, seed: int = 0) -> fl
     m2 = F.space.factor2.masses
     absF = np.abs(F.values)
 
-    best = sum(split_four(F).corner_norms())
+    best = float(_part_norm_sums(_threshold_weights(absF, m1, m2), absF, m1, m2)[0])
     single = np.broadcast_to(np.eye(4)[:, None, None, :], (4, n1, n2, 4))
     best = min(best, float(_part_norm_sums(single, absF, m1, m2).min()))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import ProductSpace, Space
-from .mixed_norm import INF, GridFunction, mixed_norm
+from .mixed_norm import INF, GridFunction, mixed_norm, mixed_norm_values
 
 __all__ = [
     "FactorFunction",
@@ -122,14 +122,16 @@ def rho_tensor(F: GridFunction) -> float:
     return _rho_array(profile, space.factor2.masses)
 
 
+def _corner_max(g: np.ndarray, space: ProductSpace) -> float:
+    """Largest of the four corner mixed norms of the nonnegative grid g."""
+    m1, m2 = space.factor1.masses, space.factor2.masses
+    corners = ((1.0, 1.0), (INF, INF), (1.0, INF), (INF, 1.0))
+    return max(float(mixed_norm_values(g, m1, m2, p, q)) for p, q in corners)
+
+
 def intersection_norm(F: GridFunction) -> float:
     """Largest of the four corner mixed norms of F."""
-    return max(
-        mixed_norm(F, 1, 1),
-        mixed_norm(F, INF, INF),
-        mixed_norm(F, 1, INF),
-        mixed_norm(F, INF, 1),
-    )
+    return _corner_max(np.abs(F.values), F.space)
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,7 @@ def _greedy_budget(vals: np.ndarray, masses: np.ndarray) -> np.ndarray:
     remaining = 1.0 - (np.cumsum(m_sorted, axis=-1) - m_sorted)
     u_sorted = np.clip(remaining / m_sorted, 0.0, 1.0)
     u = np.empty_like(u_sorted)
-    np.put_along_axis(u, order, u_sorted, axis=-1)
+    u[(*np.indices(order.shape, sparse=True)[:-1], order)] = u_sorted
     return u
 
 
@@ -245,7 +247,7 @@ def associate_pairing_sup(F: GridFunction) -> float:
     absF = np.abs(F.values)
     G = _greedy_pairing_partner(absF, space)
     pairing = float((absF * space.mass_grid * G).sum())
-    return pairing / intersection_norm(GridFunction(space, G))
+    return pairing / _corner_max(G, space)
 
 
 def holder_upper_bound(split: FourSplit, G: GridFunction) -> float:

@@ -1,5 +1,6 @@
 """Seeded random builders shared across the test modules."""
 
+import hypothesis.strategies as st
 import numpy as np
 
 import schurkit as sk
@@ -79,3 +80,17 @@ def counting_grid_1234():
     """[[1, 2], [3, 4]] as a function on the counting 2x2 product."""
     space = sk.ProductSpace(sk.counting_space(2), sk.counting_space(2))
     return sk.GridFunction(space, [[1.0, 2.0], [3.0, 4.0]])
+
+
+@st.composite
+def sum_inputs(draw):
+    """Real or complex F on up to 9x9 points, masses 10^+-3 and moduli 10^+-50 or 0."""
+    n1, n2 = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    masses = [10.0 ** np.array(draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))) for n in (n1, n2)]
+    exps = draw(st.lists(st.one_of(st.none(), st.floats(-50, 50)), min_size=n1 * n2, max_size=n1 * n2))
+    vals = np.array([0.0 if e is None else 10.0**e for e in exps]).reshape(n1, n2)
+    if draw(st.booleans()):
+        turns = draw(st.lists(st.floats(0, 1), min_size=n1 * n2, max_size=n1 * n2))
+        vals = vals * np.exp(2j * np.pi * np.array(turns).reshape(n1, n2))
+    X = sk.ProductSpace(*(sk.Space(range(len(m)), m) for m in masses))
+    return sk.GridFunction(X, vals)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -305,3 +306,60 @@ def test_an_early_syntax_error_is_final_at_once(monkeypatch, tmp_path):
         tracemalloc.stop()
     assert str(err.value) == str(want.value)
     assert peak < 6 * cli._READ_CHUNK  # about four read chunks: the window and the read
+
+
+class _Count(int):
+    pass
+
+
+class _Named(dict):
+    pass
+
+
+def test_dumps_json_mixed_types_frozen():
+    # built-in values, numpy scalars and subclasses, in the emitter's order of
+    # tests (bool before int), must print what they always printed
+    obj = {
+        "floats": [np.float64(0.1), 1.5, -0.0, math.inf, -math.inf, np.float64(-math.inf), 1e-7, 1e22],
+        "ints": (np.int64(-7), 1, True, _Count(3), np.bool_(False), False, 0),
+        "empty": [[], {}, (), _Named(), ""],
+        "sub": _Named({'a"b\\c\nd\te': None, 2: "x", 2.5: (1,), True: [np.int64(4)]}),
+        "a": {"a": {"a": []}},
+        7: [{1: "one"}, {True: "true"}, {1.0: "float"}],
+        None: "\x01\u00e9",
+    }
+    want = "\n".join([
+        '{',
+        '  "floats": [0.10000000000000001, 1.5, -0, "inf", "-inf", "-inf", 9.9999999999999995e-08, 1e+22],',
+        '  "ints": [-7, 1, true, 3, false, false, 0],',
+        '  "empty": [[], {}, [], {}, ""],',
+        '  "sub": {',
+        '    "a\\"b\\\\c\\u000ad\\u0009e": null,',
+        '    "2": "x",',
+        '    "2.5": [1],',
+        '    "True": [4]',
+        '  },',
+        '  "a": {',
+        '    "a": {',
+        '      "a": []',
+        '    }',
+        '  },',
+        '  "7": [{',
+        '    "1": "one"',
+        '  }, {',
+        '    "True": "true"',
+        '  }, {',
+        '    "1.0": "float"',
+        '  }],',
+        '  "None": "\\u0001\u00e9"',
+        '}',
+    ])
+    assert dumps_json(obj) == want
+    assert dumps_json(1.5) == "1.5" and dumps_json(-0.0) == "-0" and dumps_json(math.inf) == '"inf"'
+    # strings with nothing to escape are returned as they are; others are translated
+    assert dumps_json(["plain é", 'a"b', "a\\b", "\x1f", "\x7f\u2028\u00a0"]) == (
+        '["plain é", "a\\"b", "a\\\\b", "\\u001f", "\x7f\u2028\u00a0"]'
+    )
+    for bad in (math.nan, [np.float64(math.nan)], {"x": (1, math.nan)}, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            dumps_json(bad)

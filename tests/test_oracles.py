@@ -1,11 +1,15 @@
+import ast
+import importlib
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import schurkit as sk
 
-from conftest import rand_function, rand_kernel, rand_product, rand_space
+from conftest import rand_function, rand_kernel, rand_product, rand_space, sum_inputs
 
 INF = sk.INF
 
@@ -99,14 +103,16 @@ def _broadcast_corner_norm(part, space, p, q):
 
 def _candidates_per_trial(F, trials, seed, norm=_mixed_norm):
     """Norm sums of the oracle's candidates in its order, one at a time,
-    each part measured by `norm` (by default through GridFunction and mixed_norm)."""
+    each part measured by `norm` (by default through GridFunction and mixed_norm).
+    The thresholding candidate is measured on `split_four`'s parts; with the
+    default `norm` its sum is `sum(split_four(F).corner_norms())`."""
     space = F.space
     exponents = [(1, 1), (INF, INF), (1, INF), (INF, 1)]
 
     def norm_sum(parts):
         return sum(norm(part, space, p, q) for part, (p, q) in zip(parts, exponents))
 
-    sums = [sum(sk.split_four(F).corner_norms())]
+    sums = [norm_sum([part.values for part in sk.split_four(F).parts])]
     zero = np.zeros(space.shape)
     for slot in range(4):
         parts = [zero, zero, zero, zero]
@@ -138,10 +144,13 @@ def test_sum_norm_upper_matches_per_trial_reference(shape, complex_values, monke
             want = _candidates_per_trial(F, trials, seed=7)
             seen.clear()
             got = sk.brute_sum_norm_upper(F, trials=trials, seed=7)
-            np.testing.assert_allclose(np.concatenate(seen), want[1:], rtol=1e-15, atol=0.0)
+            # one block for the oracle's own thresholding split, then the single parts, then the chunks
+            assert [len(block) for block in seen[:2]] == [1, 4]
+            assert want[0] == sum(sk.split_four(F).corner_norms())
+            np.testing.assert_allclose(np.concatenate(seen), want, rtol=1e-15, atol=0.0)
             if not complex_values:  # |F * w| = |F| * w exactly, and the reference sums in the oracle's order
                 exact = _candidates_per_trial(F, trials, seed=7, norm=_broadcast_corner_norm)
-                np.testing.assert_array_equal(np.concatenate(seen), exact[1:])
+                np.testing.assert_array_equal(np.concatenate(seen), exact)
             assert got == pytest.approx(want.min(), rel=1e-15, abs=0.0)
 
 
@@ -166,3 +175,63 @@ def test_sum_norm_upper_memory_is_chunked():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_sum_norm_upper_calls_no_fast_path(monkeypatch):
+    # the oracle must give the same values with the sum-space and mixed-norm
+    # reductions it checks switched off
+    cases = []
+    for shape in ((1, 1), (1, 17), (64, 64)):
+        for complex_values in (False, True):
+            rng = np.random.default_rng([23, *shape, int(complex_values)])
+            X = sk.ProductSpace(rand_space(rng, shape[0], lo=0.05), rand_space(rng, shape[1], lo=0.05))
+            F = rand_function(rng, X, complex_values=complex_values)
+            cases.append((F, sk.brute_sum_norm_upper(F, trials=8, seed=3)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute_sum_norm_upper reached a fast path")
+
+    for module, name in (("sum_space", "split_four"), ("sum_space", "_rho_rows"),
+                         ("mixed_norm", "mixed_norm"), ("mixed_norm", "lp_norms")):
+        monkeypatch.setattr(importlib.import_module(f"schurkit.{module}"), name, refuse)
+    with pytest.raises(AssertionError, match="fast path"):
+        sk.split_four(cases[0][0])
+    for F, want in cases:
+        assert sk.brute_sum_norm_upper(F, trials=8, seed=3) == want
+
+
+def test_oracles_import_nothing_they_check():
+    tree = ast.parse(inspect.getsource(sk.oracles))
+    imports = {node.module: {alias.name for alias in node.names}
+               for node in tree.body if isinstance(node, ast.ImportFrom) and node.level}
+    assert imports["sum_space"] == {"FactorFunction"}
+    assert imports["mixed_norm"] == {"INF", "GridFunction"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(sum_inputs())
+def test_threshold_split_equals_split_four(F):
+    absF = np.abs(F.values)
+    split = sk.split_four(F)
+    G = split.profile.values
+    A, B = G > 2.0 * split.alpha, absF > 2.0 * G
+    weights = sk.oracles._threshold_weights(absF, F.space.factor1.masses, F.space.factor2.masses)
+    assert weights.shape == (1, *F.space.shape, 4)
+    np.testing.assert_array_equal(weights[0], np.stack([A & B, ~A & ~B, ~A & B, A & ~B], axis=-1))
+    for k, part in enumerate(split.parts):
+        np.testing.assert_array_equal(np.where(weights[0, ..., k] == 1.0, F.values, 0.0), part.values)
+
+
+def test_breakpoint_costs_frozen():
+    costs = sk.oracles._breakpoint_costs
+    masses = np.array([1.0, 1.0, 1.0])
+    assert costs(np.array([3.0, 1.0, 0.0]), masses) == 3.0
+    assert costs(np.array([0.0, 0.0, 0.0]), masses) == 0.0
+    assert costs(np.array([5.0]), np.array([0.5])) == 2.5  # lam = 0: all of the mass is below 1
+    assert costs(np.array([5.0]), np.array([4.0])) == 5.0
+    # unit total mass: lam = 0 and lam = 2 both cost the integral 4 * 0.5 + 2 * 0.5
+    assert costs(np.array([2.0, 4.0]), np.array([0.5, 0.5])) == 3.0
+    assert costs(np.array([2.0, 4.0]), np.array([1.5, 0.5])) == 3.0  # lam = 2: 2 * 0.5 + 2
+    # rows are independent, and masses far above 1 do not overflow
+    big = np.array([[1e308, 1e308], [2.0, 1.0]])
+    np.testing.assert_array_equal(costs(big, np.array([10.0, 10.0])), [1e308, 2.0])

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 import schurkit as sk
 
-from conftest import counting_grid_1234, rand_function, rand_product, rand_space
+from conftest import counting_grid_1234, rand_function, rand_product, rand_space, sum_inputs
 
 INF = sk.INF
 
@@ -371,22 +371,8 @@ def test_rectangle_pairings_stay_below_pairing_sup(shape, complex_values):
     assert rectangles.max() <= sk.associate_pairing_sup(F) * (1 + 1e-12)
 
 
-@st.composite
-def _sum_inputs(draw):
-    """Real or complex F on up to 9x9 points, masses 10^+-3 and moduli 10^+-50 or 0."""
-    n1, n2 = draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    masses = [10.0 ** np.array(draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))) for n in (n1, n2)]
-    exps = draw(st.lists(st.one_of(st.none(), st.floats(-50, 50)), min_size=n1 * n2, max_size=n1 * n2))
-    vals = np.array([0.0 if e is None else 10.0**e for e in exps]).reshape(n1, n2)
-    if draw(st.booleans()):
-        turns = draw(st.lists(st.floats(0, 1), min_size=n1 * n2, max_size=n1 * n2))
-        vals = vals * np.exp(2j * np.pi * np.array(turns).reshape(n1, n2))
-    X = sk.ProductSpace(*(sk.Space(range(len(m)), m) for m in masses))
-    return sk.GridFunction(X, vals)
-
-
 @settings(max_examples=60, deadline=None)
-@given(_sum_inputs())
+@given(sum_inputs())
 def test_pairing_sits_between_tensor_norm_and_upper_estimates(F):
     tensor = sk.rho_tensor(F.abs())
     pairing = sk.associate_pairing_sup(F)
