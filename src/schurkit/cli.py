@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .coorbit import coorbit_report, counterexample_kernel
-from .coverings import covering_weights, maximal_kernel, oscillation, special_linfty_weight, validate_covering
+from .coverings import covering_weights, maximal_kernel, oscillation, validate_covering
 from .jsonio import (
     _Owned,
     dump_kernel,
@@ -36,19 +36,13 @@ from .jsonio import (
     load_weight_grid,
     loads_json,
 )
-from .kernel_algebra import WeightGrid, compose, norm_A, norm_B, submult_weight_constant
-from .mixed_norm import INF, GridFunction, check_exponent, mixed_norm
+from .kernel_algebra import compose, norm_A, norm_B, submult_weight_constant
+from .mixed_norm import INF, check_exponent, mixed_norm
 from .operators import corner_opnorm, schur_bound, schur_scan
 from .oracles import brute_sum_norm_upper
 from .sum_space import associate_pairing_sup, intersection_norm, split_four
 
 __all__ = ["run", "main"]
-
-
-def _exponent(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return INF
-    return check_exponent(float(text))
 
 
 def _tolerance(text: str) -> float:
@@ -153,8 +147,8 @@ def _cmd_norm(args):
     quantities: dict = {}
     if args.function is not None:
         f = inputs.load("function", args.function, load_grid_function)
-        p = _exponent(args.p)
-        q = _exponent(args.q)
+        p = check_exponent(args.p)
+        q = check_exponent(args.q)
         quantities["p"] = p
         quantities["q"] = q
         quantities["mixed_norm"] = mixed_norm(f, p, q)
@@ -172,8 +166,8 @@ _CORNER_CONSTANT = {(1.0, 1.0): "c2", (INF, INF): "c1", (1.0, INF): "c3", (INF, 
 def _cmd_schur(args):
     inputs = _Inputs()
     K = inputs.load("kernel", args.kernel, load_kernel)
-    p = _exponent(args.p)
-    q = _exponent(args.q)
+    p = check_exponent(args.p)
+    q = check_exponent(args.q)
     c, lower = schur_scan(K, p, q, trials=args.trials, seed=args.seed)
     bound = schur_bound(c, p, q)
     quantities = {
@@ -294,18 +288,10 @@ def _cmd_coorbit(args):
     frame = inputs.load("frame", args.frame, load_frame)
     space = frame.space
     cov = inputs.load("covering", args.covering, lambda obj: load_covering(obj, space))
-    ones = np.ones(space.shape)
-    u = inputs.load("u", args.u, load_grid_function) if args.u else GridFunction(space, ones)
-    if args.v:
-        v = inputs.load("v", args.v, load_grid_function)
-    else:
-        v = GridFunction(space, np.maximum(frame.vector_norms(), special_linfty_weight(cov, u).values))
-    m0 = (
-        inputs.load("m0", args.m0, load_weight_grid)
-        if args.m0
-        else WeightGrid(space, space, np.ones(space.shape + space.shape))
-    )
-    # without --majorant, coorbit_report takes the patch-maximal kernel it computes
+    # each weight or majorant not given takes coorbit_report's default
+    u = inputs.load("u", args.u, load_grid_function) if args.u else None
+    v = inputs.load("v", args.v, load_grid_function) if args.v else None
+    m0 = inputs.load("m0", args.m0, load_weight_grid) if args.m0 else None
     L = inputs.load("majorant", args.majorant, load_kernel) if args.majorant else None
     report = coorbit_report(frame, cov, u, v, m0, L)
     quantities = asdict(report) | {"margin_pass": report.margin_pass, "all_pass": report.all_pass}

@@ -164,9 +164,9 @@ class CoorbitReport:
 def coorbit_report(
     frame: FiniteFrame,
     cov: RectCovering,
-    u: GridFunction,
-    v: GridFunction,
-    m0: WeightGrid,
+    u: GridFunction | None = None,
+    v: GridFunction | None = None,
+    m0: WeightGrid | None = None,
     L: Kernel | None = None,
 ) -> CoorbitReport:
     """Evaluate every coorbit hypothesis for the frame's reproducing kernel.
@@ -174,23 +174,38 @@ def coorbit_report(
     Nothing here raises on a failed hypothesis — failures land in the report
     as False flags or large constants. The margin is the discretization
     quantity computed from the stored structured norms of the kernel and the
-    majorant L (both weighted by m0). L = None takes the patch-maximal
-    kernel computed here as the majorant, which it dominates by definition.
+    majorant L (both weighted by m0). The defaults:
+
+    - u = None takes u = 1;
+    - v = None takes v = max(|psi_x|, u / w^c), the least v whose
+      domination constant is 1;
+    - m0 = None takes m0 = 1;
+    - L = None takes the patch-maximal kernel computed here as the majorant,
+      which it dominates by definition. A given L must be a kernel over the
+      frame's index space.
     """
     space = frame.space
-    if v.space != space:
+    if L is not None and (L.X != space or L.Y != space):
+        raise ValueError("majorant L must be square over the frame's index space")
+    if v is not None and v.space != space:
         raise ValueError("weight v does not live on the frame's index space")
+    if u is None:
+        u = GridFunction(space, np.ones(space.shape))
+    if m0 is None:
+        m0 = WeightGrid(space, space, np.ones(space.shape + space.shape))
     report = validate_covering(cov, u)
     K = reproducing_kernel(frame)
     M = maximal_kernel(K, cov)
     if L is None:
         L = M
+    target = np.maximum(frame.vector_norms(), special_linfty_weight(cov, u).values)
+    if v is None:
+        v = GridFunction(space, target)
 
     norm_a_mv = norm_A(K, mv_weight(v))
     norm_b_kpsi = norm_B(K, m0)
     norm_b_majorant = norm_B(L, m0)
 
-    target = np.maximum(frame.vector_norms(), special_linfty_weight(cov, u).values)
     v_dom = float((target / v.values).max())
     v_ok = bool(np.all(v.values >= 1.0 - 1e-12))
 
@@ -199,10 +214,7 @@ def coorbit_report(
         (m0.values / (u.values[:, :, None, None] * u.values[None, None, :, :])).max()
     )
 
-    if not L.is_nonnegative or L.X != space or L.Y != space:
-        dominated = False
-    else:
-        dominated = bool(np.all(M.values <= L.values + 1e-12))
+    dominated = L.is_nonnegative and bool(np.all(M.values <= L.values + 1e-12))
 
     return CoorbitReport(
         norm_a_mv=norm_a_mv,

@@ -54,7 +54,7 @@ class RectCovering:
     is rejected outright.
     """
 
-    __slots__ = ("space", "patches", "masks1", "masks2", "_product_masks")
+    __slots__ = ("space", "patches", "masks1", "masks2", "product_masks")
 
     def __init__(self, space: ProductSpace, patches):
         if not isinstance(space, ProductSpace):
@@ -70,25 +70,17 @@ class RectCovering:
                 masks1[j, space.factor1.index_of(p)] = True
             for p in W:
                 masks2[j, space.factor2.index_of(p)] = True
-        masks1.setflags(write=False)
-        masks2.setflags(write=False)
+        product_masks = masks1[:, :, None] & masks2[:, None, :]  # (P, n1, n2) membership grids
+        for masks in (masks1, masks2, product_masks):
+            masks.setflags(write=False)
         self.space = space
         self.patches = patches
         self.masks1 = masks1
         self.masks2 = masks2
-        self._product_masks = None
+        self.product_masks = product_masks
 
     def __len__(self) -> int:
         return len(self.patches)
-
-    @property
-    def product_masks(self) -> np.ndarray:
-        """Boolean (P, n1, n2) membership grids, one per patch."""
-        if self._product_masks is None:
-            pm = self.masks1[:, :, None] & self.masks2[:, None, :]
-            pm.setflags(write=False)
-            self._product_masks = pm
-        return self._product_masks
 
     def covers(self) -> bool:
         return bool(self.product_masks.any(axis=0).all())
@@ -116,11 +108,6 @@ class CoveringReport:
     @property
     def admissible(self) -> bool:
         return self.covers and all(self.patch_positive)
-
-
-def _memberships(cov: RectCovering) -> tuple[np.ndarray, np.ndarray]:
-    """(patch, flat point) index pairs, one per point of each patch, patch-major."""
-    return np.nonzero(cov.product_masks.reshape(len(cov), -1))
 
 
 def validate_covering(cov: RectCovering, u: GridFunction | None = None) -> CoveringReport:
@@ -152,12 +139,9 @@ def validate_covering(cov: RectCovering, u: GridFunction | None = None) -> Cover
             raise ValueError("weight u does not live on the covered space")
         if not u.is_real or np.any(u.values <= 0):
             raise ValueError("weight u must be strictly positive")
-        j, x = _memberships(cov)
-        ux = u.values.reshape(-1)[x]
-        hi = np.zeros(P)
-        lo = np.full(P, np.inf)
-        np.maximum.at(hi, j, ux)
-        np.minimum.at(lo, j, ux)
+        ux = np.broadcast_to(u.values, cov.product_masks.shape)  # a view: no (P, n1, n2) copy
+        hi = np.maximum.reduce(ux, axis=(1, 2), where=cov.product_masks, initial=0.0)
+        lo = np.minimum.reduce(ux, axis=(1, 2), where=cov.product_masks, initial=np.inf)
         moderateness = float((hi[positive] / lo[positive]).max(initial=1.0))
 
     return CoveringReport(cov.covers(), tuple(positive.tolist()), comparability, sigma, moderateness)
@@ -176,16 +160,33 @@ def covering_weights(cov: RectCovering) -> tuple[np.ndarray, GridFunction, float
     weights = cov.patch_weights()
     if np.any(weights <= 0):
         raise ValueError("every patch must have positive product mass")
-    wc = weights[cov.product_masks.argmax(axis=0)]  # the first patch holding each point
-    j, x = _memberships(cov)
-    ratio = wc.reshape(-1)[x] / weights[j]
+    owner, ratio = _owner_ratios(cov, weights)
     c0 = max(1.0, float((ratio + 1.0 / ratio).max() / 2.0))
-    return weights, GridFunction(cov.space, wc), c0
+    return weights, GridFunction(cov.space, weights[owner].reshape(cov.space.shape)), c0
+
+
+def _owner_ratios(cov: RectCovering, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The owner of each flat point, and w_k / w_j for each patch j and each owner k of its points.
+
+    A point's owner is the first patch holding it, so w^c(x) / w_j over x in
+    U_j takes exactly these values: maxima over them are the per-point
+    maxima, bit for bit. Points are grouped by owner, and a patch meets a
+    group when it holds one of the group's points.
+    """
+    masks = cov.product_masks.reshape(len(cov), -1)
+    owner = masks.argmax(axis=0)
+    order = np.argsort(owner)
+    grouped = owner[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    j, k = np.nonzero(np.logical_or.reduceat(masks[:, order], starts, axis=1))
+    return owner, weights[grouped[starts[k]]] / weights[j]
 
 
 def _require_square(K: Kernel, cov: RectCovering) -> None:
     if K.X != cov.space or K.Y != cov.space:
         raise ValueError("kernel must be square over the covered space")
+    if not cov.covers():
+        raise ValueError("patches do not cover the space")
 
 
 def maximal_kernel(K: Kernel, cov: RectCovering) -> Kernel:
@@ -195,8 +196,6 @@ def maximal_kernel(K: Kernel, cov: RectCovering) -> Kernel:
     M K >= |K| entrywise.
     """
     _require_square(K, cov)
-    if not cov.covers():
-        raise ValueError("patches do not cover the space")
     A = np.abs(K.values)
     out = np.zeros_like(A)
     for j in range(len(cov)):
@@ -215,8 +214,6 @@ def oscillation(K: Kernel, cov: RectCovering, phase: PhaseGrid | None = None) ->
     and singleton patches the oscillation vanishes identically.
     """
     _require_square(K, cov)
-    if not cov.covers():
-        raise ValueError("patches do not cover the space")
     if phase is not None and (phase.X != cov.space or phase.Y != cov.space):
         raise ValueError("phase grid must be square over the covered space")
     Kv = K.values if phase is None else K.values.astype(complex)
@@ -282,7 +279,7 @@ def sup_bound_certificate(
     space = cov.space
     if w is None:
         w = GridFunction(space, np.ones(space.shape))
-    weights, wc, _ = covering_weights(cov)
+    weights = covering_weights(cov)[0]
     report = validate_covering(cov, u)
     if not report.admissible:
         raise ValueError("covering must cover with positive patches")
@@ -300,8 +297,7 @@ def sup_bound_certificate(
 
     c4 = float(report.moderateness)
 
-    j, x = _memberships(cov)
-    c5 = max(1.0, float((wc.values.reshape(-1)[x] / weights[j]).max()))
+    c5 = max(1.0, float(_owner_ratios(cov, weights)[1].max()))
 
     c6 = c2 * c3 * c4 * c5
     return SupBoundCertificate(c1, c2, c3, c4, c5, c6, special_linfty_weight(cov, u))

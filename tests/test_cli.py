@@ -71,9 +71,10 @@ def test_schur_corner_exponents_add_exactness_check(tmp_path, capsys):
 
 def test_norm_function_mode(tmp_path, capsys):
     ffile = _grid_file(tmp_path, [[1, 2], [3, 4]])
-    code, cert, _ = _run(capsys, ["norm", "--function", ffile, "--p", "1", "--q", "inf"])
-    assert code == 0
-    assert cert["quantities"]["mixed_norm"] == pytest.approx(6.0, rel=1e-12)
+    for inf in ("inf", " Infinity ", "+inf"):  # any spelling float() reads
+        code, cert, _ = _run(capsys, ["norm", "--function", ffile, "--p", "1", "--q", inf])
+        assert code == 0
+        assert cert["quantities"]["mixed_norm"] == pytest.approx(6.0, rel=1e-12)
 
     code, cert, _ = _run(capsys, ["norm", "--function", ffile])
     assert cert["quantities"]["mixed_norm"] == pytest.approx(np.sqrt(30.0), rel=1e-12)
@@ -224,6 +225,15 @@ def test_coorbit_margin_never_passes_for_parseval_frames(tmp_path, capsys):
     assert q["margin"] == pytest.approx(
         q["norm_b_majorant"] * (2 * q["norm_b_kpsi"] + q["norm_b_majorant"]), rel=1e-9
     )
+
+
+def test_coorbit_refuses_a_majorant_on_another_space(tmp_path, capsys):
+    _, kfile, _ = _covering_files(tmp_path)  # a kernel over 2 x 2
+    framefile = _write(tmp_path / "frame.json", {"type": "gabor", "N": 4, "window": [1, 2, 3, 4]})
+    covfile = _write(tmp_path / "cov4.json", {"patches": [{"V": [0, 1, 2, 3], "W": [0, 1, 2, 3]}]})
+    code, cert, err = _run(capsys, ["coorbit", "--frame", framefile, "--covering", covfile, "--majorant", kfile])
+    assert code == 2 and cert is None
+    assert "majorant" in err, err
 
 
 @pytest.mark.parametrize(

@@ -295,3 +295,27 @@ def test_counterexample_builds_each_slab_once(monkeypatch):
     slabs = [(sl.start, sl.stop) for sl in sk.operators._slab_slices(K.X, K.Y, 16)]
     assert len(slabs) >= 3
     assert built == slabs
+
+
+def test_coorbit_report_defaults():
+    rng = np.random.default_rng(5)
+    frame = sk.gabor_frame(4, [1.0, 2.0, 3.0, 4.0])
+    space = frame.space
+    ones = sk.GridFunction(space, np.ones(space.shape))
+    ones_m0 = sk.WeightGrid(space, space, np.ones(space.shape + space.shape))
+    for cov in (_full_patch_covering(space), rand_covering(rng, space, max_patches=4)):
+        for u in (ones, sk.GridFunction(space, 1.0 + rng.random(space.shape))):
+            target = np.maximum(frame.vector_norms(), sk.special_linfty_weight(cov, u).values)
+            spelled = sk.coorbit_report(frame, cov, u, sk.GridFunction(space, target), ones_m0)
+            assert sk.coorbit_report(frame, cov, u) == spelled
+            if u is ones:
+                assert sk.coorbit_report(frame, cov) == spelled
+        assert spelled.v_domination_constant == 1.0
+
+
+def test_coorbit_report_refuses_a_majorant_on_another_space():
+    frame, cov, u, v, m0, L = _default_report()
+    X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(2))
+    for other in (sk.Kernel(X, X, np.ones((2, 2, 2, 2))), sk.Kernel(L.X, X, np.ones((4, 4, 2, 2)))):
+        with pytest.raises(ValueError, match="majorant"):
+            sk.coorbit_report(frame, cov, u, v, m0, other)

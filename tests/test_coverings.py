@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,9 +121,10 @@ def _reference_constants(cov, u):
     return report, (wc, c0, u.values / wc, c5)
 
 
-def test_covering_constants_match_plain_loops():
+def _coverings_to_check():
+    """Random coverings with empty sides, overlaps and repeats, then one patch repeated 20 times."""
     rng = np.random.default_rng(22)
-    for trial in range(60):
+    for _ in range(60):
         n1, n2 = rng.integers(1, 5, size=2)
         X = sk.ProductSpace(sk.Space(range(n1), 0.1 + rng.random(n1)), sk.Space(range(n2), 0.1 + rng.random(n2)))
         patches = [([a for a in range(n1) if rng.random() < 0.5], [b for b in range(n2) if rng.random() < 0.5])
@@ -131,7 +134,15 @@ def test_covering_constants_match_plain_loops():
             patches.insert(int(rng.integers(0, len(patches) + 1)), (range(n1), range(n2)))
         if rng.random() < 0.5:
             patches = [(V, W) for V, W in patches if V and W] or [(range(n1), range(n2))]
-        cov = sk.RectCovering(X, patches)
+        yield rng, sk.RectCovering(X, patches)
+    X = sk.ProductSpace(sk.Space(range(6), 0.1 + rng.random(6)), sk.Space(range(6), 0.1 + rng.random(6)))
+    yield rng, sk.RectCovering(X, [(range(6), range(6))] * 20 + [([0, 1], [2, 3, 4])])
+
+
+def test_covering_constants_match_plain_loops():
+    for trial, (rng, cov) in enumerate(_coverings_to_check()):
+        X = cov.space
+        n1, n2 = X.shape
         u = rand_positive(rng, X)
         expected, weighted = _reference_constants(cov, u)
         assert sk.validate_covering(cov, u) == expected, trial
@@ -148,6 +159,23 @@ def test_covering_constants_match_plain_loops():
             L = sk.maximal_kernel(sk.Kernel(X, X, rng.random((n1, n2, n1, n2))), cov)
             cert = sk.sup_bound_certificate(L, cov, u, sk.WeightGrid(X, X, np.ones((n1, n2, n1, n2))), 2, 2)
             assert cert.c5 == c5 and np.array_equal(cert.v.values, v), trial
+
+
+@pytest.mark.parametrize("constants", ["validate_covering", "covering_weights"])
+def test_heavily_overlapping_patches_hold_no_array_per_membership(constants):
+    # 200 full patches on 48 x 48: 460,800 (patch, point) pairs against 0.44 MiB of masks;
+    # index arrays over the pairs, 16 bytes each, took 10.6 and 14.1 MiB
+    X = sk.ProductSpace(sk.Space(range(48), np.full(48, 0.5)), sk.Space(range(48), np.full(48, 0.5)))
+    cov = sk.RectCovering(X, [(range(48), range(48))] * 200)
+    u = sk.GridFunction(X, 1.0 + np.arange(48 * 48.0).reshape(48, 48))
+    call = {"validate_covering": lambda: sk.validate_covering(cov, u), "covering_weights": lambda: sk.covering_weights(cov)}
+    tracemalloc.start()
+    try:
+        call[constants]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_special_linfty_weight_checks_u_first():
