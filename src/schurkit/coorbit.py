@@ -7,13 +7,13 @@ orthogonal projection onto the transform's range, and `coorbit_report`
 evaluates every hypothesis needed for the associated function spaces to be
 well defined and discretizable. `counterexample_kernel` builds the truncated
 oscillating kernel showing the third Schur constant can blow up while the
-operator norm stays bounded. That kernel is a `SlabKernel`: it is built and
-reduced one block of its second target axis at a time, and each block is
-built once for all of its diagnostics. Its memory is one slab and that
-slab's modulus, not the whole (M, 2N+1, 2N+1, 2N+1) array. A slab is at
-least one x2 column, M(2N+1)^2 complex values plus their modulus, so past
-the slab budget of `operators` the peak grows as N^2: 6.2 MiB at N = 32 and
-24.4 MiB at N = 64 for M = 64.
+operator norm stays bounded. Its entries are a product of three small
+factors, K[x1, x2, y1, y2] = phase[x1, y2] gate[x2, y2] amp[y1, y2], and
+its diagnostics are contractions of those factors: O(M(2N+1)^2) work and
+O(M(2N+1) + (2N+1)^2) memory, where the entries number M(2N+1)^3. The
+kernel itself is returned as a `SlabKernel`, built one block of its second
+target axis at a time when a reduction asks for it, and the slab scan of
+`operators` on it is the independent check on the factored values.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 from .coverings import RectCovering, maximal_kernel, special_linfty_weight, validate_covering
 from .kernel_algebra import WeightGrid, mv_weight, norm_A, norm_B
 from .measure import ProductSpace, Space, counting_space
-from .mixed_norm import INF, GridFunction, mixed_norm
-from .operators import Kernel, SlabKernel, schur_scan
+from .mixed_norm import INF, GridFunction, mixed_norm, mixed_norm_values
+from .operators import Kernel, SchurConstants, SlabKernel, _draw_trials
 
 __all__ = [
     "FiniteFrame",
@@ -256,6 +256,76 @@ def sequence_norms(coeffs, cov: RectCovering, p, q, w: GridFunction | None = Non
 _CORNER_1INF_CAP = float.fromhex("0x1.3ec400771703fp+1")
 
 
+def _corner_1inf_upper(N: int, M: int, ks: np.ndarray, cm: np.ndarray) -> float:
+    """An upper bound for the (1, inf) operator norm of the counterexample kernel.
+
+    For ||f||_{1,inf} <= 1 the image at target point k is a trigonometric
+    polynomial sum_{|m| <= |k|} c_m F(m) exp(-2 pi i m x) with |F(m)| <= 1.
+    Its L^1 norm over the M-point grid (total mass 1) is at most its L^2
+    norm, and by Parseval on Z_M that is sqrt(sum_r |b_r|^2), b_r summing
+    c_m F(m) over the m = r mod M. So sqrt(sum_r (sum_{m = r mod M} c_m)^2)
+    bounds the norm for every k.
+
+    At M >= 2N only m = N and m = -N share a residue, which adds 2 c_N^2 to
+    sum_m c_m^2. The full series' tail absorbs that: sum_{j > N} c_j^2 is at
+    least the integral of x^(-4/3) from N + 2 on, 3 (N + 2)^(-1/3), which
+    exceeds c_N^2 = (N + 1)^(-4/3). So the zeta cap
+    sqrt(1 + 2 sum_{j >= 1} c_j^2) = sqrt(2 zeta(4/3) - 1) holds, for every N. Below 2N the aliased sum itself is returned: computed in
+    floating point, it carries fewer than 2N + M + 8 roundings of relative
+    size eps / 2 (in c_m, each residue sum, the squares, their sum and the
+    root), so it is rounded up by (2N + M + 8) eps.
+    """
+    if M >= 2 * N:
+        return _CORNER_1INF_CAP
+    b = np.bincount(ks % M, weights=cm, minlength=M)
+    return float(np.sqrt(b @ b) * (1.0 + (2 * N + M + 8) * np.finfo(float).eps))
+
+
+def _factored_scan(K: SlabKernel, phase, gate, amp, trials: int, seed: int) -> tuple[SchurConstants, float]:
+    """`schur_scan(K, 1, INF, trials, seed)` for K = phase[x1, y2] gate[x2, y2] amp[y1, y2].
+
+    The slab scan's reductions of |K| = |phase| gate amp, regrouped so that
+    no entry of K is formed. With a = mu1 @ |phase| and r = nu1 @ amp, both
+    per y2, and g2 = mu2 @ gate:
+
+    - C1's row integrals are (|phase| nu2 r) @ gate^T over (x1, x2);
+    - C2's column integrals are amp g2 a over (y1, y2);
+    - C3's best columns are gate a max_{y1} amp, summed against nu2;
+    - C4's best rows are gate r max_{x1} |phase|, summed against mu2;
+    - the point mass at (y1, y2) has image norm a max_{x2} gate amp nu2;
+    - trial f has image phase @ (gate h)^T with h = sum_{y1} amp f nu, and
+      its mixed (1, inf) norm is `mixed_norm_values`.
+
+    The trial batch is `operators._draw_trials`', so the random draws are
+    the slab scan's. The sums run in another order than the scan's, so the
+    values agree with it to a few ulps, not bitwise.
+    """
+    mu1, mu2 = K.X.factor1.masses, K.X.factor2.masses
+    nu1, nu2 = K.Y.factor1.masses, K.Y.factor2.masses
+    P = np.abs(phase)
+    a = mu1 @ P
+    r = nu1 @ amp
+    g2 = mu2 @ gate
+    constants = SchurConstants(
+        float(((P * (nu2 * r)) @ gate.T).max()),
+        float((amp * (g2 * a)).max()),
+        float(((gate * (a * amp.max(axis=0))) @ nu2).max()),
+        float((g2 * P.max(axis=0) * r).max()),
+    )
+
+    draws = _draw_trials(K, 1, INF, trials, seed)
+    best = float((a * gate.max(axis=0) * amp * nu2).max())
+    g = draws.weighted.T.reshape((-1,) + K.Y.shape)  # (trial, y1, y2): each trial times nu
+    h = (g * amp).sum(axis=1)  # (trial, y2); a real factor times a complex one is not cast whole
+    images = phase @ (gate * h[:, None, :]).transpose(0, 2, 1)  # (trial, x1, x2)
+    img_norms = mixed_norm_values(np.abs(images), mu1, mu2, 1.0, INF)
+    dens = mixed_norm_values(np.abs(draws.batch), nu1, nu2, 1.0, INF)
+    ok = dens > 0
+    if np.any(ok):
+        best = max(best, float((img_norms[ok] / dens[ok]).max()))
+    return constants, best
+
+
 def counterexample_kernel(N: int, M: int, trials: int = 32, seed: int = 0):
     """Truncated oscillating kernel with growing third Schur constant.
 
@@ -268,16 +338,19 @@ def counterexample_kernel(N: int, M: int, trials: int = 32, seed: int = 0):
     The kernel is returned as a `SlabKernel`: each block of target points k
     is built as phase(x, m) * (c_m 1{|m| <= |k|} 1{|m| <= |n|}) when a
     reduction asks for it, and the (M, 2N+1, 2N+1, 2N+1) array is never held.
+    This function builds no slab: the diagnostics are contractions of the
+    three factors phase (M x 2N+1), gate = 1{|m| <= |k|} and
+    amp = c_m 1{|m| <= |n|}, and they agree with
+    `schur_scan(K, 1, INF, trials, seed)` on the returned kernel, the
+    independent check, to a few ulps.
 
-    Diagnostics report the numerical Schur constants (reductions over the
-    kernel entries), the two analytic sums they must match, a lower bound for
-    the (1, inf) operator norm, and the square-summability upper bound
-    sqrt(2*zeta(4/3) - 1) that caps it for every N (the grid resolves all
-    frequencies once M > 2N). The lower bound is the best ratio over point
-    masses and the constant function, followed by seeded random draws only
-    when `trials` exceeds (2N+1)^2 + 1. The constants and the lower bound
-    come from one `schur_scan` pass, so each slab is built once and its
-    modulus taken once, and the mass-weighted sums over it are contractions.
+    Diagnostics report the numerical Schur constants, the two analytic sums
+    they must match, a lower bound for the (1, inf) operator norm, and an
+    upper bound for it: the square-summability cap sqrt(2*zeta(4/3) - 1) for
+    every N once M >= 2N, and the aliased Parseval sum below that, where the
+    cap can be false. The lower bound is the best ratio over point masses
+    and the constant function, followed by seeded random draws only when
+    `trials` exceeds (2N+1)^2 + 1.
     """
     if N < 1 or M < 2:
         raise ValueError("need N >= 1 and M >= 2")
@@ -303,7 +376,7 @@ def counterexample_kernel(N: int, M: int, trials: int = 32, seed: int = 0):
         return phase[:, None, None, :] * (gate[sl, None, :] * amp)[None]
 
     K = SlabKernel(X, Y, complex, build_slab)
-    sc, lower = schur_scan(K, 1, INF, trials=trials, seed=seed)
+    sc, lower = _factored_scan(K, phase, gate, amp, trials, seed)
     diagnostics = {
         "c1": sc.c1,
         "c2": sc.c2,
@@ -312,6 +385,6 @@ def counterexample_kernel(N: int, M: int, trials: int = 32, seed: int = 0):
         "c1_analytic": float((1.0 / (1.0 + ks.astype(float) ** 2)).sum()),
         "c3_analytic": float(cm.sum()),
         "corner_1inf_lower": lower,
-        "corner_1inf_upper": _CORNER_1INF_CAP,
+        "corner_1inf_upper": _corner_1inf_upper(N, M, ks, cm),
     }
     return K, diagnostics

@@ -155,31 +155,32 @@ def covering_weights(cov: RectCovering) -> tuple[np.ndarray, GridFunction, float
     the owning patch's discrete weight. The returned constant is the smallest
     C0 with w^c(x)/w_j + w_j/w^c(x) <= 2*C0 for every patch j and x in U_j.
     """
-    if not cov.covers():
-        raise ValueError("patches do not cover the space")
-    weights = cov.patch_weights()
-    if np.any(weights <= 0):
-        raise ValueError("every patch must have positive product mass")
-    owner, ratio = _owner_ratios(cov, weights)
+    weights, wc, ratio = _owner_ratios(cov)
     c0 = max(1.0, float((ratio + 1.0 / ratio).max() / 2.0))
-    return weights, GridFunction(cov.space, weights[owner].reshape(cov.space.shape)), c0
+    return weights, wc, c0
 
 
-def _owner_ratios(cov: RectCovering, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The owner of each flat point, and w_k / w_j for each patch j and each owner k of its points.
+def _owner_ratios(cov: RectCovering) -> tuple[np.ndarray, GridFunction, np.ndarray]:
+    """The patch weights, w^c, and w_k / w_j for each patch j and each owner k of its points.
 
     A point's owner is the first patch holding it, so w^c(x) / w_j over x in
     U_j takes exactly these values: maxima over them are the per-point
     maxima, bit for bit. Points are grouped by owner, and a patch meets a
     group when it holds one of the group's points.
     """
+    if not cov.covers():
+        raise ValueError("patches do not cover the space")
+    weights = cov.patch_weights()
+    if np.any(weights <= 0):
+        raise ValueError("every patch must have positive product mass")
     masks = cov.product_masks.reshape(len(cov), -1)
     owner = masks.argmax(axis=0)
     order = np.argsort(owner)
     grouped = owner[order]
     starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
     j, k = np.nonzero(np.logical_or.reduceat(masks[:, order], starts, axis=1))
-    return owner, weights[grouped[starts[k]]] / weights[j]
+    wc = GridFunction(cov.space, weights[owner].reshape(cov.space.shape))
+    return weights, wc, weights[grouped[starts[k]]] / weights[j]
 
 
 def _require_square(K: Kernel, cov: RectCovering) -> None:
@@ -279,7 +280,7 @@ def sup_bound_certificate(
     space = cov.space
     if w is None:
         w = GridFunction(space, np.ones(space.shape))
-    weights = covering_weights(cov)[0]
+    _, wc, ratio = _owner_ratios(cov)
     report = validate_covering(cov, u)
     if not report.admissible:
         raise ValueError("covering must cover with positive patches")
@@ -297,7 +298,7 @@ def sup_bound_certificate(
 
     c4 = float(report.moderateness)
 
-    c5 = max(1.0, float(_owner_ratios(cov, weights)[1].max()))
+    c5 = max(1.0, float(ratio.max()))
 
     c6 = c2 * c3 * c4 * c5
-    return SupBoundCertificate(c1, c2, c3, c4, c5, c6, special_linfty_weight(cov, u))
+    return SupBoundCertificate(c1, c2, c3, c4, c5, c6, GridFunction(space, u.values / wc.values))

@@ -243,6 +243,31 @@ def test_counterexample_cap_is_the_zeta_bound_rounded_up():
         assert mpmath.mpf(np.nextafter(cap, 0.0)) < exact <= mpmath.mpf(cap)
 
 
+@pytest.mark.parametrize("N, M", [(4, 3), (8, 8), (64, 64), (64, 2)])
+def test_counterexample_upper_below_2n_is_the_aliased_parseval_sum(N, M):
+    mpmath = pytest.importorskip("mpmath")
+    upper = sk.counterexample_kernel(N, M, trials=1)[1]["corner_1inf_upper"]
+    with mpmath.workdps(50):
+        residue_sums = [mpmath.mpf(0)] * M
+        for m in range(-N, N + 1):
+            residue_sums[m % M] += mpmath.mpf(1 + abs(m)) ** (-mpmath.mpf(2) / 3)
+        exact = mpmath.sqrt(mpmath.fsum(b * b for b in residue_sums))
+        assert exact <= mpmath.mpf(upper) <= exact * (1 + mpmath.mpf("1e-12"))
+
+
+def test_counterexample_witness_beats_the_zeta_cap_below_2n():
+    # f(N, .) = 1 / beta_N has unit (1, inf) norm, and at M = 2 its image sums the
+    # even and the odd c_m in phase, far past the cap that holds once M >= 2N
+    K, d = sk.counterexample_kernel(64, 2, trials=1)
+    vals = np.zeros(K.Y.shape)
+    vals[-1] = 1.0 / K.Y.factor1.masses[-1]
+    f = sk.GridFunction(K.Y, vals)
+    image = sk.mixed_norm(sk.apply_kernel(K, f), 1, sk.INF) / sk.mixed_norm(f, 1, sk.INF)
+    cap = sk.counterexample_kernel(1, 2)[1]["corner_1inf_upper"]
+    assert cap < image <= d["corner_1inf_upper"]
+    assert image == pytest.approx(9.31, abs=0.01)
+
+
 def _dense_counterexample(N, M):
     # the four-broadcast dense build of the kernel, kept as an independent oracle
     xs = np.arange(M) / M
@@ -263,7 +288,7 @@ def _dense_counterexample(N, M):
 def test_counterexample_slabs_match_dense_build(N, M, slab_bytes, monkeypatch):
     if slab_bytes is not None:
         monkeypatch.setattr(sk.operators, "_SLAB_BYTES", slab_bytes)
-    K, d = sk.counterexample_kernel(N, M)
+    K, _ = sk.counterexample_kernel(N, M)
     dense = _dense_counterexample(N, M)
     assert K.X.shape == (M, 2 * N + 1) and K.Y.shape == (2 * N + 1, 2 * N + 1)
     slabs = list(K.slabs())
@@ -271,11 +296,26 @@ def test_counterexample_slabs_match_dense_build(N, M, slab_bytes, monkeypatch):
         assert len(slabs) > 1
     np.testing.assert_array_equal(np.concatenate([v for _, v in slabs], axis=1), dense)
 
+    # the slab scan of K, the check on the factored diagnostics, against the dense kernel's
     D = sk.Kernel(K.X, K.Y, dense)
     c = sk.schur_constants(D)
-    assert (d["c1"], d["c3"], d["c4"]) == (c.c1, c.c3, c.c4)
-    assert d["c2"] == pytest.approx(c.c2, rel=1e-13)
-    assert d["corner_1inf_lower"] == sk.opnorm_lower_search(D, 1, sk.INF, trials=32, seed=0)
+    sc, lower = sk.schur_scan(K, 1, sk.INF, trials=32, seed=0)
+    assert (sc.c1, sc.c3, sc.c4) == (c.c1, c.c3, c.c4)
+    assert sc.c2 == pytest.approx(c.c2, rel=1e-13)
+    assert lower == sk.opnorm_lower_search(D, 1, sk.INF, trials=32, seed=0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("M", [2, 7, 16, 64])
+def test_counterexample_diagnostics_match_the_slab_scan(N, M):
+    # the factored sums run in another order than the scan's: a few ulps, not bitwise
+    for trials in (1, 32, 64):
+        for seed in (0, 7):
+            K, d = sk.counterexample_kernel(N, M, trials=trials, seed=seed)
+            sc, lower = sk.schur_scan(K, 1, sk.INF, trials=trials, seed=seed)
+            got = [d["c1"], d["c2"], d["c3"], d["c4"], d["corner_1inf_lower"]]
+            for value, want in zip(got, [*sc, lower]):
+                assert abs(value - want) <= 4 * np.spacing(want), (trials, seed, value, want)
 
 
 def test_counterexample_builds_each_slab_once(monkeypatch):
@@ -292,6 +332,8 @@ def test_counterexample_builds_each_slab_once(monkeypatch):
 
     monkeypatch.setattr(sk.coorbit, "SlabKernel", CountingSlabKernel)
     K, _ = sk.counterexample_kernel(8, 64)
+    assert built == []  # the diagnostics come from the factors
+    sk.schur_scan(K, 1, sk.INF)
     slabs = [(sl.start, sl.stop) for sl in sk.operators._slab_slices(K.X, K.Y, 16)]
     assert len(slabs) >= 3
     assert built == slabs

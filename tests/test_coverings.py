@@ -371,6 +371,25 @@ def test_sup_bound_certificate_chain():
         assert lhs <= rhs * (1 + 1e-9) + 1e-15
 
 
+def test_sup_bound_certificate_finds_owners_once(monkeypatch):
+    # the weights, w^c, c5 and v all come from one owner pass
+    calls = {"_owner_ratios": 0, "covering_weights": 0}
+    for name in calls:
+        original = getattr(sk.coverings, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(sk.coverings, name, counted)
+    X = _counting_square(3)
+    cov = sk.RectCovering(X, [([0, 1], [0, 1, 2]), ([1, 2], [0, 1, 2])])
+    u = sk.GridFunction(X, 1.0 + np.arange(9.0).reshape(3, 3))
+    L = sk.Kernel(X, X, np.ones((3, 3, 3, 3)))
+    sk.sup_bound_certificate(L, cov, u, sk.WeightGrid(X, X, np.ones((3, 3, 3, 3))), 2, 2)
+    assert calls == {"_owner_ratios": 1, "covering_weights": 0}
+
+
 def test_sup_bound_certificate_rejects_gaps():
     X = _counting_square(2)
     partial = sk.RectCovering(X, [([0], [0])])

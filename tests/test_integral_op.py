@@ -539,9 +539,10 @@ def test_counterexample_memory_is_slab_bounded():
     import tracemalloc
 
     # the dense (M, 2N+1, 2N+1, 2N+1) complex build peaked near 848 MB here
+    K, _ = sk.counterexample_kernel(32, 64)
     tracemalloc.start()
     try:
-        sk.counterexample_kernel(32, 64)
+        sk.schur_scan(K, 1, INF)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -554,9 +555,10 @@ def test_counterexample_holds_one_slab_at_a_time():
     from schurkit.operators import _slab_slices
 
     np.random.default_rng()  # numpy imports numpy.random on first use: not a slab's memory
+    K, _ = sk.counterexample_kernel(16, 64)
     tracemalloc.start()
     try:
-        K, _ = sk.counterexample_kernel(16, 64)
+        sk.schur_scan(K, 1, INF)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -572,13 +574,28 @@ def test_counterexample_at_n32_peaks_under_8_mib():
 
     # at q = inf the (1, inf) lower bound keeps a running maximum over x2, not the
     # (x2, y1, y2) grid of column norms (8.8 MiB here when it was gathered)
+    K, _ = sk.counterexample_kernel(32, 64)
     tracemalloc.start()
     try:
-        sk.counterexample_kernel(32, 64)
+        sk.schur_scan(K, 1, INF)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_counterexample_diagnostics_at_n128_peak_under_16_mib():
+    import tracemalloc
+
+    # the factors take O(M(2N+1) + (2N+1)^2) memory; one x2 column of the kernel
+    # (M(2N+1)^2 complex values) would be 258 MiB here
+    tracemalloc.start()
+    try:
+        sk.counterexample_kernel(128, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_finite_q_scan_keeps_no_x2_grid():
