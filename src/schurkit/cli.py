@@ -36,7 +36,7 @@ from .jsonio import (
     load_weight_grid,
     loads_json,
 )
-from .kernel_algebra import compose, norm_A, norm_B, submult_weight_constant
+from .kernel_algebra import _norms, compose, norm_B, submult_weight_constant
 from .mixed_norm import INF, check_exponent, mixed_norm
 from .operators import corner_opnorm, schur_bound, schur_scan
 from .oracles import brute_sum_norm_upper
@@ -155,8 +155,7 @@ def _cmd_norm(args):
     else:
         K = inputs.load("kernel", args.kernel, load_kernel)
         m = inputs.load("weight", args.weight, load_weight_grid) if args.weight else None
-        quantities["norm_A"] = norm_A(K, m)
-        quantities["norm_B"] = norm_B(K, m)
+        quantities["norm_A"], quantities["norm_B"] = _norms(K, m)
     return _certificate("norm", args, inputs, quantities, [])
 
 

@@ -251,32 +251,24 @@ def sequence_norms(coeffs, cov: RectCovering, p, q, w: GridFunction | None = Non
     return flat, sharp
 
 
-# sqrt(2*zeta(4/3) - 1) = 2.49035650076805767..., rounded up to the next double
-# so that it stays an upper bound; tests recompute it in mpmath
-_CORNER_1INF_CAP = float.fromhex("0x1.3ec400771703fp+1")
-
-
 def _corner_1inf_upper(N: int, M: int, ks: np.ndarray, cm: np.ndarray) -> float:
-    """An upper bound for the (1, inf) operator norm of the counterexample kernel.
+    """An upper bound for the (1, inf) operator norm of the counterexample kernel, at every M.
 
     For ||f||_{1,inf} <= 1 the image at target point k is a trigonometric
     polynomial sum_{|m| <= |k|} c_m F(m) exp(-2 pi i m x) with |F(m)| <= 1.
     Its L^1 norm over the M-point grid (total mass 1) is at most its L^2
     norm, and by Parseval on Z_M that is sqrt(sum_r |b_r|^2), b_r summing
-    c_m F(m) over the m = r mod M. So sqrt(sum_r (sum_{m = r mod M} c_m)^2)
-    bounds the norm for every k.
+    c_m F(m) over the m = r mod M. So the aliased Parseval sum
+    sqrt(sum_r (sum_{m = r mod M} c_m)^2) bounds the norm for every k.
 
-    At M >= 2N only m = N and m = -N share a residue, which adds 2 c_N^2 to
-    sum_m c_m^2. The full series' tail absorbs that: sum_{j > N} c_j^2 is at
-    least the integral of x^(-4/3) from N + 2 on, 3 (N + 2)^(-1/3), which
-    exceeds c_N^2 = (N + 1)^(-4/3). So the zeta cap
-    sqrt(1 + 2 sum_{j >= 1} c_j^2) = sqrt(2 zeta(4/3) - 1) holds, for every N. Below 2N the aliased sum itself is returned: computed in
-    floating point, it carries fewer than 2N + M + 8 roundings of relative
-    size eps / 2 (in c_m, each residue sum, the squares, their sum and the
-    root), so it is rounded up by (2N + M + 8) eps.
+    Once M >= 2N it is at most sqrt(2 zeta(4/3) - 1): only m = N and m = -N
+    can share a residue, which adds 2 c_N^2 to sum_m c_m^2, and the tail
+    sum_{j > N} c_j^2, at least the integral of x^(-4/3) from N + 2 on,
+    3 (N + 2)^(-1/3), exceeds c_N^2 = (N + 1)^(-4/3).
+    Computed in floating point, the sum carries fewer than 2N + M + 8
+    roundings of relative size eps / 2 (in c_m, each residue sum, the
+    squares, their sum and the root), so it is rounded up by (2N + M + 8) eps.
     """
-    if M >= 2 * N:
-        return _CORNER_1INF_CAP
     b = np.bincount(ks % M, weights=cm, minlength=M)
     return float(np.sqrt(b @ b) * (1.0 + (2 * N + M + 8) * np.finfo(float).eps))
 
@@ -346,11 +338,11 @@ def counterexample_kernel(N: int, M: int, trials: int = 32, seed: int = 0):
 
     Diagnostics report the numerical Schur constants, the two analytic sums
     they must match, a lower bound for the (1, inf) operator norm, and an
-    upper bound for it: the square-summability cap sqrt(2*zeta(4/3) - 1) for
-    every N once M >= 2N, and the aliased Parseval sum below that, where the
-    cap can be false. The lower bound is the best ratio over point masses
-    and the constant function, followed by seeded random draws only when
-    `trials` exceeds (2N+1)^2 + 1.
+    upper bound for it at every M: the aliased Parseval sum
+    sqrt(sum_r (sum_{m = r mod M} c_m)^2), rounded up by (2N + M + 8) eps,
+    which is at most sqrt(2*zeta(4/3) - 1) once M >= 2N. The lower bound is
+    the best ratio over point masses and the constant function, followed by
+    seeded random draws only when `trials` exceeds (2N+1)^2 + 1.
     """
     if N < 1 or M < 2:
         raise ValueError("need N >= 1 and M >= 2")

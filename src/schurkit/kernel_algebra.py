@@ -55,6 +55,16 @@ def _check_weight(K: Kernel, m: WeightGrid | None) -> None:
         raise ValueError("weight grid does not match the kernel's spaces")
 
 
+def _norms(K: Kernel, m: WeightGrid | None = None) -> tuple[float, float]:
+    """(`norm_A(K, m)`, `norm_B(K, m)`) from one scan, so each slab is read once."""
+    _check_weight(K, m)
+    scan = _scan(K, None, m)
+    c = scan.constants
+    gamma = np.maximum(scan.best_row, scan.best_col)  # (x2, y2)
+    norm_b = float(max((gamma @ K.Y.factor2.masses).max(), (K.X.factor2.masses @ gamma).max()))
+    return max(c.c1, c.c2), norm_b
+
+
 def norm_A(K: Kernel, m: WeightGrid | None = None) -> float:
     """Plain kernel norm: larger of the best row and column integrals of |m*K|.
 
@@ -63,9 +73,7 @@ def norm_A(K: Kernel, m: WeightGrid | None = None) -> float:
     constants C1 and C2 of |m*K|, from the same scan, so unweighted
     `norm_A(K) == max(c1, c2)` exactly.
     """
-    _check_weight(K, m)
-    c = _scan(K, None, m).constants
-    return max(c.c1, c.c2)
+    return _norms(K, m)[0]
 
 
 def norm_B(K: Kernel, m: WeightGrid | None = None) -> float:
@@ -78,10 +86,7 @@ def norm_B(K: Kernel, m: WeightGrid | None = None) -> float:
     `norm_A`; with m absent the weight is implicitly 1. Stage one's best rows
     and columns are the grids that C4 and C3 sum against mu2 and nu2.
     """
-    _check_weight(K, m)
-    scan = _scan(K, None, m)
-    gamma = np.maximum(scan.best_row, scan.best_col)  # (x2, y2)
-    return float(max((gamma @ K.Y.factor2.masses).max(), (K.X.factor2.masses @ gamma).max()))
+    return _norms(K, m)[1]
 
 
 def transpose(K: Kernel) -> Kernel:

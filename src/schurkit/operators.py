@@ -26,11 +26,9 @@ and a batched matmul, not broadcast products of the slab's full shape);
 every other integral is a small contraction of those two. Its L^p norms are
 `mixed_norm.lp_norms`, under that module's one overflow policy.
 
-A dense `Kernel` checks its values finite once, when it is built. A
-`SlabKernel`'s `slabs()` checks each slab as it is built, but `_scan` reads
-the slabs unchecked and takes the check from its row integrals: every mass
-is > 0, so an inf or nan entry makes its row integral non-finite, and only
-then are the slab's entries checked one by one.
+A dense `Kernel` checks its values finite once, when it is built; a
+`SlabKernel`'s `slabs()` checks each slab as it is built. Every slab loop
+reads `slabs()`, so no reduction sees an unchecked slab.
 """
 
 from __future__ import annotations
@@ -131,9 +129,6 @@ class Kernel:
         for sl in _slab_slices(self.X, self.Y, self.values.itemsize):
             yield sl, self.values[:, sl]
 
-    # the values were checked when the kernel was built
-    _unchecked_slabs = slabs
-
     def __repr__(self) -> str:
         return f"Kernel(X={self.X.shape}, Y={self.Y.shape}, dtype={self.values.dtype})"
 
@@ -146,9 +141,8 @@ class SlabKernel:
     again whenever `slabs()` is iterated, which raises ValueError on a slab
     of the wrong shape or dtype or with a non-finite entry. `schur_constants`,
     `apply_kernel`, `opnorm_lower_search`, `kernel_algebra.norm_A` and
-    `kernel_algebra.norm_B` accept it like a dense `Kernel`; all but
-    `apply_kernel` read it through `_scan`, which skips the separate
-    finiteness sum and checks each slab from its row integrals instead.
+    `kernel_algebra.norm_B` accept it like a dense `Kernel` and read it
+    through `slabs()`, so each slab is checked once, as it is built.
     """
 
     __slots__ = ("X", "Y", "dtype", "_build_slab")
@@ -171,18 +165,12 @@ class SlabKernel:
         The generator keeps no reference to a slab once it is yielded, so a
         caller that drops its own holds one slab while the next is built.
         """
-        for sl, vals in self._unchecked_slabs():
-            _require_finite(vals)
-            yield sl, vals
-            del vals
-
-    def _unchecked_slabs(self):
-        """`slabs()` without the finiteness check, which `_scan` takes from its row integrals."""
         for sl in _slab_slices(self.X, self.Y, self.dtype.itemsize):
             vals = np.asarray(self._build_slab(sl))
             expected = (self.X.factor1.size, sl.stop - sl.start) + self.Y.shape
             if vals.shape != expected or vals.dtype != self.dtype:
                 raise ValueError(f"slab {vals.dtype}{vals.shape} does not match {self.dtype}{expected}")
+            _require_finite(vals)
             yield sl, vals
             del vals
 
@@ -275,11 +263,9 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
     slabs. C1 and C3 are running maxima over the slabs; only C4's
     per-(x2, y2) maxima are gathered, for one gemv over x2 at the end.
 
-    The slabs are read without a separate finiteness sum. Every mass is > 0,
-    so an inf or nan entry makes its row integral non-finite; a slab whose
-    largest row integral is not finite is checked entry by entry with
-    `_require_finite`, which raises only for a non-finite entry, so rows that
-    overflow from finite entries are accepted, as when the kernel is built.
+    The slabs come from `slabs()`, which has checked each one finite; rows
+    whose integrals overflow from finite entries are accepted, as when the
+    kernel is built.
 
     The lower search takes the point masses in closed form: the image of a
     unit spike at (c, d) is the (c, d) column of K times nu(c, d), so its
@@ -305,17 +291,14 @@ def _scan(K, trials: _Trials | None, m=None) -> _Scan:
     best_row = np.empty((len(mu2), n2y))
     best_col = np.empty((len(mu2), n2y))
     col_norms = img_norms = None  # L^{p,q} norms of the point-mass columns and trial images, so far
-    for sl, vals in K._unchecked_slabs():
+    for sl, vals in K.slabs():
         A = np.abs(vals)
         if m is not None:
             A *= m.values[:, sl]
         w = A.shape[1]
         s1 = lp_norms(A, mu1, 1.0, axis=0)  # (x2, y1, y2): sum_{x1} mu1 |K|
         R = nu1 @ A.reshape(n1 * w, n1y, n2y)  # (x1 x2, y2): sum_{y1} nu1 |K|
-        top = (R @ nu2).max()  # the largest row integral over the source
-        if not np.isfinite(top):  # masses are > 0, so an inf or nan entry makes its row so
-            _require_finite(vals)
-        c1 = max(c1, top)
+        c1 = max(c1, (R @ nu2).max())
         col += mu2[sl] @ s1.reshape(w, -1)
         slab_cols = s1.max(axis=1)
         c3 = max(c3, (slab_cols @ nu2).max())
@@ -357,7 +340,7 @@ def schur_constants(K: Kernel) -> SchurConstants:
     integrals are the latter summed against nu2, and C2's column integrals
     the former summed against mu2 across slabs. C1 and C3 finish inside a
     slab, and C4's per-(x2, y2) maxima are gathered before the outer sum over
-    x2. A slab kernel's finiteness is checked from C1's row integrals.
+    x2.
     """
     return _scan(K, None).constants
 

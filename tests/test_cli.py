@@ -365,14 +365,14 @@ def test_cli_import_leaves_mpmath_unloaded():
 
 
 def test_counterexample_runs_without_mpmath():
-    # the closed-form cap is a stored literal; a None entry makes `import mpmath` fail
+    # the bounds are computed in numpy; a None entry makes `import mpmath` fail
     script = (
         "import sys; sys.modules['mpmath'] = None; from schurkit.cli import run; "
         "sys.exit(run(['counterexample', '--N', '2', '--M', '8']))"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["quantities"]["corner_1inf_upper"] == 2.490356500768058
+    assert json.loads(proc.stdout)["quantities"]["corner_1inf_upper"] == 1.5019791528350883
 
 
 def test_non_finite_kernel_file_exits_2(tmp_path, capsys):

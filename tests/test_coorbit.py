@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import schurkit as sk
 
@@ -224,7 +226,7 @@ def test_counterexample_kernel_diagnostics():
     assert d["c3"] == pytest.approx(d["c3_analytic"], rel=1e-9)
     assert d["c1_analytic"] == pytest.approx(2.7176470588235291, rel=1e-12)
     assert d["c3_analytic"] == pytest.approx(4.6991116680879239, rel=1e-12)
-    assert d["corner_1inf_upper"] == pytest.approx(2.4903565007680579, rel=1e-12)
+    assert d["corner_1inf_upper"] == pytest.approx(1.674766567937764, rel=1e-12)
     assert d["corner_1inf_lower"] <= d["corner_1inf_upper"] + 1e-12
     assert K.X.shape == (64, 9)
     assert K.Y.shape == (9, 9)
@@ -235,16 +237,10 @@ def test_counterexample_kernel_diagnostics():
         sk.counterexample_kernel(4, 1)
 
 
-def test_counterexample_cap_is_the_zeta_bound_rounded_up():
-    mpmath = pytest.importorskip("mpmath")
-    cap = sk.counterexample_kernel(1, 2)[1]["corner_1inf_upper"]
-    with mpmath.workprec(200):
-        exact = mpmath.sqrt(2 * mpmath.zeta(mpmath.mpf(4) / 3) - 1)
-        assert mpmath.mpf(np.nextafter(cap, 0.0)) < exact <= mpmath.mpf(cap)
-
-
-@pytest.mark.parametrize("N, M", [(4, 3), (8, 8), (64, 64), (64, 2)])
-def test_counterexample_upper_below_2n_is_the_aliased_parseval_sum(N, M):
+@pytest.mark.parametrize(
+    "N, M", [(4, 3), (8, 8), (64, 64), (64, 2), (1, 2), (4, 9), (8, 64), (16, 64), (32, 64)]
+)
+def test_counterexample_upper_is_the_aliased_parseval_sum(N, M):
     mpmath = pytest.importorskip("mpmath")
     upper = sk.counterexample_kernel(N, M, trials=1)[1]["corner_1inf_upper"]
     with mpmath.workdps(50):
@@ -253,19 +249,33 @@ def test_counterexample_upper_below_2n_is_the_aliased_parseval_sum(N, M):
             residue_sums[m % M] += mpmath.mpf(1 + abs(m)) ** (-mpmath.mpf(2) / 3)
         exact = mpmath.sqrt(mpmath.fsum(b * b for b in residue_sums))
         assert exact <= mpmath.mpf(upper) <= exact * (1 + mpmath.mpf("1e-12"))
+        if M >= 2 * N:  # the square-summability cap, which only aliasing below 2N can pass
+            assert mpmath.mpf(upper) <= mpmath.sqrt(2 * mpmath.zeta(mpmath.mpf(4) / 3) - 1)
 
 
-def test_counterexample_witness_beats_the_zeta_cap_below_2n():
-    # f(N, .) = 1 / beta_N has unit (1, inf) norm, and at M = 2 its image sums the
-    # even and the odd c_m in phase, far past the cap that holds once M >= 2N
-    K, d = sk.counterexample_kernel(64, 2, trials=1)
+def _witness_ratio(K):
+    # the vertex f(N, .) = 1 / beta_N, zero elsewhere, has unit (1, inf) norm
     vals = np.zeros(K.Y.shape)
     vals[-1] = 1.0 / K.Y.factor1.masses[-1]
     f = sk.GridFunction(K.Y, vals)
-    image = sk.mixed_norm(sk.apply_kernel(K, f), 1, sk.INF) / sk.mixed_norm(f, 1, sk.INF)
-    cap = sk.counterexample_kernel(1, 2)[1]["corner_1inf_upper"]
-    assert cap < image <= d["corner_1inf_upper"]
+    return sk.mixed_norm(sk.apply_kernel(K, f), 1, sk.INF) / sk.mixed_norm(f, 1, sk.INF)
+
+
+def test_counterexample_witness_beats_the_zeta_cap_below_2n():
+    # at M = 2 the witness's image sums the even and the odd c_m in phase, far past
+    # sqrt(2 zeta(4/3) - 1), which bounds the norm only once M >= 2N
+    K, d = sk.counterexample_kernel(64, 2, trials=1)
+    image = _witness_ratio(K)
+    assert 2.490356500768058 < image <= d["corner_1inf_upper"]
     assert image == pytest.approx(9.31, abs=0.01)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(2, 40))
+def test_counterexample_upper_bounds_the_witness_at_every_m(N, M):
+    K, d = sk.counterexample_kernel(N, M, trials=1)
+    assert _witness_ratio(K) <= d["corner_1inf_upper"]
+    assert d["corner_1inf_lower"] <= d["corner_1inf_upper"]
 
 
 def _dense_counterexample(N, M):

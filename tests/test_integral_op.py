@@ -493,7 +493,8 @@ def test_slab_slices_stay_within_the_budget_unless_one_column(monkeypatch):
             assert width == 1 or X.factor1.size * width * Y.size * itemsize <= budget
 
 
-def test_schur_certificate_builds_each_slab_once(tmp_path, monkeypatch, capsys):
+def _load_counting_slabs(tmp_path, monkeypatch, built):
+    """A complex kernel file whose `cli.load_kernel` returns a three-slab SlabKernel recording its builds."""
     rng = np.random.default_rng(22)
     X = sk.ProductSpace(rand_space(rng, 5), rand_space(rng, 6))
     Y = sk.ProductSpace(rand_space(rng, 4), rand_space(rng, 3))
@@ -501,7 +502,6 @@ def test_schur_certificate_builds_each_slab_once(tmp_path, monkeypatch, capsys):
     kfile = tmp_path / "k.json"
     kfile.write_text(dumps_json(dump_kernel(K)))
     monkeypatch.setattr(sk.operators, "_SLAB_BYTES", 2 * 5 * 12 * 16)
-    built = []
 
     def load_counting(obj):
         dense = load_kernel(obj)
@@ -513,8 +513,23 @@ def test_schur_certificate_builds_each_slab_once(tmp_path, monkeypatch, capsys):
         return sk.SlabKernel(dense.X, dense.Y, dense.values.dtype, build)
 
     monkeypatch.setattr(cli, "load_kernel", load_counting)
-    assert cli.run(["schur", "--kernel", str(kfile), "--p", "2", "--q", "3"]) == 0
+    return K, str(kfile)
+
+
+def test_schur_certificate_builds_each_slab_once(tmp_path, monkeypatch, capsys):
+    built = []
+    K, kfile = _load_counting_slabs(tmp_path, monkeypatch, built)
+    assert cli.run(["schur", "--kernel", kfile, "--p", "2", "--q", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["quantities"]["c1"] == sk.schur_constants(K).c1
+    assert built == [(0, 2), (2, 4), (4, 6)]
+
+
+def test_norm_certificate_builds_each_slab_once(tmp_path, monkeypatch, capsys):
+    built = []
+    K, kfile = _load_counting_slabs(tmp_path, monkeypatch, built)
+    assert cli.run(["norm", "--kernel", kfile]) == 0
+    q = json.loads(capsys.readouterr().out)["quantities"]
+    assert (q["norm_A"], q["norm_B"]) == (sk.norm_A(K), sk.norm_B(K))
     assert built == [(0, 2), (2, 4), (4, 6)]
 
 
@@ -712,27 +727,6 @@ def test_every_scan_reader_accepts_rows_that_overflow(reader, dtype):
     with np.errstate(over="ignore", invalid="ignore"):
         _scan_readers()[reader](K)
         assert sk.schur_constants(K).c1 == INF
-
-
-def test_scanning_a_finite_slab_kernel_checks_no_entry(monkeypatch):
-    monkeypatch.setattr(sk.operators, "_SLAB_BYTES", 2 * 5 * 12 * 16)  # three complex slabs
-    rng = np.random.default_rng(27)
-    X = sk.ProductSpace(rand_space(rng, 5), rand_space(rng, 6))
-    Y = sk.ProductSpace(rand_space(rng, 4), rand_space(rng, 3))
-    K = rand_kernel(rng, X, Y, complex_values=True)
-    m = sk.WeightGrid(X, Y, 1.0 + rng.random(X.shape + Y.shape))  # checked as it is built
-    lazy = sk.SlabKernel(X, Y, complex, lambda sl: K.values[:, sl])
-    calls = []
-    check = sk.operators._require_finite
-    monkeypatch.setattr(sk.operators, "_require_finite", lambda vals: calls.append(vals.shape) or check(vals))
-    sk.schur_constants(lazy)
-    sk.schur_scan(lazy, 2, 3, trials=8)
-    sk.opnorm_lower_search(lazy, 1, INF, trials=8)
-    for norm in (sk.norm_A, sk.norm_B):
-        norm(lazy)
-        norm(lazy, m)
-    assert calls == []
-    assert len(list(lazy.slabs())) == 3 and len(calls) == 3  # slabs() itself still checks each
 
 
 @pytest.mark.parametrize("slabs", [None, 3, 6])
