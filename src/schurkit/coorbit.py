@@ -5,7 +5,11 @@ mass-weighted rank-one sum is the identity. Its voice transform embeds
 vectors as functions on the index space, the reproducing kernel is the
 orthogonal projection onto the transform's range, and `coorbit_report`
 evaluates every hypothesis needed for the associated function spaces to be
-well defined and discretizable. `counterexample_kernel` builds the truncated
+well defined and discretizable. A Gabor frame's kernel is a phase times its
+window's N x N ambiguity grid, built with one inverse FFT and one gather;
+any other frame's is the N^5 inner products of its vectors, the oracle for
+the closed form. Dense frame and kernel builds past `_DENSE_BYTES` are
+refused before they allocate. `counterexample_kernel` builds the truncated
 oscillating kernel showing the third Schur constant can blow up while the
 operator norm stays bounded. Its entries are a product of three small
 factors, K[x1, x2, y1, y2] = phase[x1, y2] gate[x2, y2] amp[y1, y2], and
@@ -39,6 +43,12 @@ __all__ = [
     "sequence_norms",
     "counterexample_kernel",
 ]
+
+# Most bytes of one dense frame or kernel build. The Gabor kernel at N = 64,
+# 64^4 complex values or 256 MiB, fits; past the cap `gabor_frame` and
+# `reproducing_kernel` raise ValueError before they allocate, so the CLI
+# exits 2 instead of running out of memory.
+_DENSE_BYTES = 1 << 29
 
 
 class FiniteFrame:
@@ -76,16 +86,37 @@ class FiniteFrame:
         return f"FiniteFrame(index={self.space.shape}, dim={self.dim})"
 
 
+class _GaborFrame(FiniteFrame):
+    """A Gabor frame that keeps its unit-normalized window, from which
+    `reproducing_kernel` builds the kernel in closed form."""
+
+    __slots__ = ("window",)
+
+    def __init__(self, space: ProductSpace, vectors, window: np.ndarray, tol: float):
+        super().__init__(space, vectors, tol)
+        window.setflags(write=False)
+        self.window = window
+
+
+def _require_dense_bytes(what: str, count: int) -> None:
+    """Refuse, before allocating, a dense build of `count` complex values past `_DENSE_BYTES`."""
+    nbytes = count * np.dtype(complex).itemsize
+    if nbytes > _DENSE_BYTES:
+        raise ValueError(f"{what} needs {nbytes} bytes, over the {_DENSE_BYTES}-byte cap on dense builds")
+
+
 def gabor_frame(N: int, window) -> FiniteFrame:
     """Time-frequency shift frame on Z_N x Z_N from a nonzero window.
 
     The window is unit-normalized; the frame vector at (a, b) is the window
     translated by a, modulated by frequency b, and scaled by 1/sqrt(N). The
     resulting family is a Parseval frame for C^N (each vector has norm
-    1/sqrt(N)).
+    1/sqrt(N)). Its N^3 complex values are refused with ValueError, before
+    anything is allocated, past the cap on dense builds.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
+    _require_dense_bytes(f"a Gabor frame of N = {N}", int(N) ** 3)
     g = np.asarray(window, dtype=complex)
     if g.shape != (N,):
         raise ValueError(f"window must have length {N}")
@@ -94,11 +125,11 @@ def gabor_frame(N: int, window) -> FiniteFrame:
         raise ValueError("window must be nonzero")
     g = g / norm
     t = np.arange(N)
-    shifts = np.stack([np.roll(g, a) for a in range(N)])  # (a, t)
+    shifts = g[(t[None, :] - t[:, None]) % N]  # (a, t): g((t - a) mod N)
     phases = np.exp(2j * np.pi * np.outer(t, t) / N)  # (b, t)
     vecs = shifts[:, None, :] * phases[None, :, :] / np.sqrt(N)
     space = ProductSpace(counting_space(N), counting_space(N))
-    return FiniteFrame(space, vecs, tol=1e-10)
+    return _GaborFrame(space, vecs, g, tol=1e-10)
 
 
 def voice_transform(frame: FiniteFrame, f) -> GridFunction:
@@ -110,9 +141,40 @@ def voice_transform(frame: FiniteFrame, f) -> GridFunction:
     return GridFunction(frame.space, vals)
 
 
+def _gabor_kernel(g: np.ndarray) -> np.ndarray:
+    """<psi_(c,d), psi_(a,b)> of the Gabor frame of the unit window g, from g's ambiguity grid.
+
+    With alpha = (c - a) mod N and beta = (d - b) mod N, substituting
+    s = t - a in the inner product gives
+    K[a, b, c, d] = exp(2 pi i a beta / N) W[alpha, beta], where
+    W[alpha, beta] = (1/N) sum_s g((s - alpha) mod N) conj g(s) exp(2 pi i beta s / N)
+    is an inverse FFT along s. That is O(N^2 log N) work for W and one
+    gather for the N^4 entries, against O(N^5) for the frame vectors'
+    inner products, and no BLAS call.
+    """
+    N = len(g)
+    n = np.arange(N)
+    diff = (n[None, :] - n[:, None]) % N  # diff[i, j] = (j - i) mod N
+    W = np.fft.ifft(g[diff] * g.conj(), axis=1)  # (alpha, beta)
+    roots = np.exp(2j * np.pi * n / N)
+    T = roots[(n[:, None] * n) % N][:, None, :] * W  # (a, alpha, beta)
+    return T[n[:, None, None, None], diff[:, None, :, None], diff[None, :, None, :]]
+
+
 def reproducing_kernel(frame: FiniteFrame) -> Kernel:
-    """K(x, y) = <psi_y, psi_x>; idempotent under mass-weighted composition."""
-    vals = np.einsum("cdt,abt->abcd", frame.vectors, frame.vectors.conj())
+    """K(x, y) = <psi_y, psi_x>; idempotent under mass-weighted composition.
+
+    A frame from `gabor_frame` gets the closed form of `_gabor_kernel`; any
+    other frame takes the inner products of its vectors. The kernel's
+    complex values are refused with ValueError, before anything is
+    allocated, past the cap on dense builds.
+    """
+    n = frame.space.size
+    _require_dense_bytes(f"a reproducing kernel over {n} index points", n * n)
+    if isinstance(frame, _GaborFrame):
+        vals = _gabor_kernel(frame.window)
+    else:
+        vals = np.einsum("cdt,abt->abcd", frame.vectors, frame.vectors.conj())
     return Kernel(frame.space, frame.space, vals)
 
 
@@ -179,10 +241,13 @@ def coorbit_report(
     - u = None takes u = 1;
     - v = None takes v = max(|psi_x|, u / w^c), the least v whose
       domination constant is 1;
-    - m0 = None takes m0 = 1;
+    - m0 = None takes m0 = 1, without building it: the norms are taken
+      unweighted (weighting by 1 is exact), m0 is symmetric, and its pair
+      constant is 1 / (min u)^2, the largest 1 / (u(x) u(y)) since rounding
+      is monotone;
     - L = None takes the patch-maximal kernel computed here as the majorant,
-      which it dominates by definition. A given L must be a kernel over the
-      frame's index space.
+      which it dominates by definition, so no entry is compared. A given L
+      must be a kernel over the frame's index space.
     """
     space = frame.space
     if L is not None and (L.X != space or L.Y != space):
@@ -191,30 +256,28 @@ def coorbit_report(
         raise ValueError("weight v does not live on the frame's index space")
     if u is None:
         u = GridFunction(space, np.ones(space.shape))
-    if m0 is None:
-        m0 = WeightGrid(space, space, np.ones(space.shape + space.shape))
     report = validate_covering(cov, u)
     K = reproducing_kernel(frame)
     M = maximal_kernel(K, cov)
-    if L is None:
-        L = M
     target = np.maximum(frame.vector_norms(), special_linfty_weight(cov, u).values)
     if v is None:
         v = GridFunction(space, target)
 
     norm_a_mv = norm_A(K, mv_weight(v))
     norm_b_kpsi = norm_B(K, m0)
-    norm_b_majorant = norm_B(L, m0)
+    norm_b_majorant = norm_B(M if L is None else L, m0)
 
     v_dom = float((target / v.values).max())
     v_ok = bool(np.all(v.values >= 1.0 - 1e-12))
 
-    m0_sym = bool(np.allclose(m0.values, m0.values.transpose(2, 3, 0, 1), rtol=1e-12, atol=0))
-    m0_pair = float(
-        (m0.values / (u.values[:, :, None, None] * u.values[None, None, :, :])).max()
-    )
+    if m0 is None:
+        umin = u.values.min()
+        m0_sym, m0_pair = True, float(1.0 / (umin * umin))
+    else:
+        m0_sym = bool(np.allclose(m0.values, m0.values.transpose(2, 3, 0, 1), rtol=1e-12, atol=0))
+        m0_pair = float((m0.values / (u.values[:, :, None, None] * u.values[None, None, :, :])).max())
 
-    dominated = L.is_nonnegative and bool(np.all(M.values <= L.values + 1e-12))
+    dominated = L is None or (L.is_nonnegative and bool(np.all(M.values <= L.values + 1e-12)))
 
     return CoorbitReport(
         norm_a_mv=norm_a_mv,
@@ -290,7 +353,11 @@ def _factored_scan(K: SlabKernel, phase, gate, amp, trials: int, seed: int) -> t
 
     The trial batch is `operators._draw_trials`', so the random draws are
     the slab scan's. The sums run in another order than the scan's, so the
-    values agree with it to a few ulps, not bitwise.
+    values agree with it to a few ulps, not bitwise. One more trial is the
+    vertex f(N, .) = 1 / beta_N, zero elsewhere: it has unit (1, inf) norm
+    and h = c_m, the last row of amp, so its image sums every c_m against
+    the phases. Below M = 2N aliasing puts those in phase, and the vertex
+    is the witness the other trials miss.
     """
     mu1, mu2 = K.X.factor1.masses, K.X.factor2.masses
     nu1, nu2 = K.Y.factor1.masses, K.Y.factor2.masses
@@ -309,12 +376,12 @@ def _factored_scan(K: SlabKernel, phase, gate, amp, trials: int, seed: int) -> t
     best = float((a * gate.max(axis=0) * amp * nu2).max())
     g = draws.weighted.T.reshape((-1,) + K.Y.shape)  # (trial, y1, y2): each trial times nu
     h = (g * amp).sum(axis=1)  # (trial, y2); a real factor times a complex one is not cast whole
+    h = np.concatenate([h, amp[-1:]])  # the vertex at n = N
     images = phase @ (gate * h[:, None, :]).transpose(0, 2, 1)  # (trial, x1, x2)
     img_norms = mixed_norm_values(np.abs(images), mu1, mu2, 1.0, INF)
-    dens = mixed_norm_values(np.abs(draws.batch), nu1, nu2, 1.0, INF)
-    ok = dens > 0
-    if np.any(ok):
-        best = max(best, float((img_norms[ok] / dens[ok]).max()))
+    dens = np.append(mixed_norm_values(np.abs(draws.batch), nu1, nu2, 1.0, INF), 1.0)
+    ok = dens > 0  # never empty: the vertex has density 1
+    best = max(best, float((img_norms[ok] / dens[ok]).max()))
     return constants, best
 
 
@@ -341,8 +408,9 @@ def counterexample_kernel(N: int, M: int, trials: int = 32, seed: int = 0):
     upper bound for it at every M: the aliased Parseval sum
     sqrt(sum_r (sum_{m = r mod M} c_m)^2), rounded up by (2N + M + 8) eps,
     which is at most sqrt(2*zeta(4/3) - 1) once M >= 2N. The lower bound is
-    the best ratio over point masses and the constant function, followed by
-    seeded random draws only when `trials` exceeds (2N+1)^2 + 1.
+    the best ratio over point masses, the constant function and the vertex
+    f(N, .) = 1 / beta_N, followed by seeded random draws only when `trials`
+    exceeds (2N+1)^2 + 1.
     """
     if N < 1 or M < 2:
         raise ValueError("need N >= 1 and M >= 2")

@@ -11,10 +11,10 @@ vertex enumeration of `oracles.brute_corner_opnorm`.
 `schur_constants`, `apply_kernel`, `opnorm_lower_search`, `norm_A` and
 `norm_B` read a kernel one slab at a time, a slab being a block of the
 second target axis x2 whose values fit in `_SLAB_BYTES` (1 MiB: a slab and
-its modulus stay in one core's L2 cache, and its contractions stay below the
-size at which OpenBLAS spreads a gemv over threads, which costs more than it
-saves at these sizes). Every reduction over x1 finishes inside a slab; only
-sums, maxima and L^q norms over x2 are carried across slabs.
+its modulus stay in one core's L2 cache; the slab's contractions are BLAS
+calls, which a threaded BLAS can still stall on, see `_SLAB_BYTES`). Every
+reduction over x1 finishes inside a slab; only sums, maxima and L^q norms
+over x2 are carried across slabs.
 A dense `Kernel` yields views of its array, a `SlabKernel` builds each slab
 when asked and is never held whole. Every slab loop holds one slab and its
 modulus at a time: `slabs()` keeps no reference to a slab it has yielded,
@@ -56,9 +56,11 @@ __all__ = [
 
 VERTEX_CAP = 10**6  # most unit-ball vertices the brute-force oracle enumerates
 # Largest block of kernel values reduced (or built) at once. At 1 MiB a slab
-# and its modulus stay resident in a core's 2 MiB L2 cache, and each slab's
-# contractions stay below the size at which OpenBLAS splits a gemv over
-# threads, which on kernels of this size costs far more than it saves.
+# and its modulus stay resident in a core's 2 MiB L2 cache. The budget does
+# not keep a slab's contractions clear of threaded BLAS: with OpenBLAS at two
+# threads on two vCPUs (numpy 2.4), the (144 x 144) complex gemv of a
+# one-slab 12^4 kernel took 8.0 ms instead of 0.007 ms in 3 of 10 fresh
+# processes.
 _SLAB_BYTES = 1 << 20
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -98,6 +100,52 @@ def test_reproducing_kernel_diagonal_and_idempotent():
         np.testing.assert_allclose(
             K.values, np.conj(np.moveaxis(K.values, (0, 1), (2, 3))), atol=1e-12
         )
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 12, 16, 32])
+@pytest.mark.parametrize("complex_window", [False, True])
+def test_gabor_kernel_closed_form_matches_the_inner_products(N, complex_window):
+    rng = np.random.default_rng(N)
+    window = 3.0 * rng.standard_normal(N) + (1j * rng.standard_normal(N) if complex_window else 0.0)
+    frame = sk.gabor_frame(N, window)
+    K = sk.reproducing_kernel(frame)
+    want = np.einsum("cdt,abt->abcd", frame.vectors, frame.vectors.conj())
+    assert np.abs(K.values - want).max() <= 1e-14
+    # any other frame takes the inner products, even over the Gabor vectors
+    plain = sk.FiniteFrame(frame.space, frame.vectors, tol=1e-10)
+    np.testing.assert_array_equal(sk.reproducing_kernel(plain).values, want)
+
+
+def test_gabor_frame_shifts_are_the_rolled_window():
+    rng = np.random.default_rng(9)
+    N = 6
+    window = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    g = window / np.linalg.norm(window)
+    t = np.arange(N)
+    phases = np.exp(2j * np.pi * np.outer(t, t) / N)
+    rolled = np.stack([np.roll(g, a) for a in range(N)])[:, None, :] * phases[None, :, :] / np.sqrt(N)
+    np.testing.assert_array_equal(sk.gabor_frame(N, window).vectors, rolled)
+
+
+def test_dense_frame_builds_past_the_cap_are_refused_before_allocating():
+    frame = sk.gabor_frame(128, np.ones(128))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(128**4 * 16)):
+            sk.reproducing_kernel(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError, match=str(1024**3 * 16)):
+        sk.gabor_frame(1024, np.ones(1024))
+    # a frame that is not a Gabor frame is refused by the same estimate
+    X = sk.ProductSpace(sk.counting_space(128), sk.counting_space(128))
+    wide = sk.FiniteFrame(X, np.full((128, 128, 1), 1.0 / 128))
+    with pytest.raises(ValueError, match="bytes"):
+        sk.reproducing_kernel(wide)
+    # the N = 64 kernel stays within the cap
+    sk.coorbit._require_dense_bytes("the N = 64 kernel", 64**4)
 
 
 def test_voice_range_is_reproduced():
@@ -318,11 +366,13 @@ def test_counterexample_slabs_match_dense_build(N, M, slab_bytes, monkeypatch):
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("M", [2, 7, 16, 64])
 def test_counterexample_diagnostics_match_the_slab_scan(N, M):
-    # the factored sums run in another order than the scan's: a few ulps, not bitwise
+    # the factored sums run in another order than the scan's: a few ulps, not bitwise;
+    # the factored lower search also tries the vertex f(N, .) = 1 / beta_N
     for trials in (1, 32, 64):
         for seed in (0, 7):
             K, d = sk.counterexample_kernel(N, M, trials=trials, seed=seed)
             sc, lower = sk.schur_scan(K, 1, sk.INF, trials=trials, seed=seed)
+            lower = max(lower, _witness_ratio(K))
             got = [d["c1"], d["c2"], d["c3"], d["c4"], d["corner_1inf_lower"]]
             for value, want in zip(got, [*sc, lower]):
                 assert abs(value - want) <= 4 * np.spacing(want), (trials, seed, value, want)
@@ -350,19 +400,27 @@ def test_counterexample_builds_each_slab_once(monkeypatch):
 
 
 def test_coorbit_report_defaults():
+    # the defaults m0 = 1 and L = M are never built: the pair constant's closed form and the
+    # skipped dominance check must equal the spelled-out report bitwise
     rng = np.random.default_rng(5)
-    frame = sk.gabor_frame(4, [1.0, 2.0, 3.0, 4.0])
-    space = frame.space
-    ones = sk.GridFunction(space, np.ones(space.shape))
-    ones_m0 = sk.WeightGrid(space, space, np.ones(space.shape + space.shape))
-    for cov in (_full_patch_covering(space), rand_covering(rng, space, max_patches=4)):
-        for u in (ones, sk.GridFunction(space, 1.0 + rng.random(space.shape))):
-            target = np.maximum(frame.vector_norms(), sk.special_linfty_weight(cov, u).values)
-            spelled = sk.coorbit_report(frame, cov, u, sk.GridFunction(space, target), ones_m0)
-            assert sk.coorbit_report(frame, cov, u) == spelled
-            if u is ones:
-                assert sk.coorbit_report(frame, cov) == spelled
-        assert spelled.v_domination_constant == 1.0
+    windows = [[1.0, 2.0, 3.0, 4.0], rng.standard_normal(8) + 1j * rng.standard_normal(8)]
+    for window in windows:
+        frame = sk.gabor_frame(len(window), window)
+        space = frame.space
+        ones = sk.GridFunction(space, np.ones(space.shape))
+        ones_m0 = sk.WeightGrid(space, space, np.ones(space.shape + space.shape))
+        for cov in (_full_patch_covering(space), rand_covering(rng, space, max_patches=4)):
+            L = sk.maximal_kernel(sk.reproducing_kernel(frame), cov)
+            for u in (ones, sk.GridFunction(space, 1.0 + rng.random(space.shape))):
+                target = np.maximum(frame.vector_norms(), sk.special_linfty_weight(cov, u).values)
+                v = sk.GridFunction(space, target)
+                spelled = sk.coorbit_report(frame, cov, u, v, ones_m0, L)
+                assert sk.coorbit_report(frame, cov, u) == spelled
+                assert sk.coorbit_report(frame, cov, u, v, ones_m0) == spelled
+                assert sk.coorbit_report(frame, cov, u, v, None, L) == spelled
+                if u is ones:
+                    assert sk.coorbit_report(frame, cov) == spelled
+            assert spelled.v_domination_constant == 1.0
 
 
 def test_coorbit_report_refuses_a_majorant_on_another_space():
