@@ -16,6 +16,7 @@ import codecs
 import functools
 import hashlib
 import os
+import stat
 import sys
 from dataclasses import asdict
 
@@ -60,11 +61,13 @@ _UTF8 = codecs.getincrementaldecoder("utf-8")
 def _read_json(path: str) -> tuple:
     """Parse a UTF-8 JSON file; returns (object, sha256 of its bytes).
 
-    The file is read `_READ_CHUNK` bytes at a time, but never more than one
-    byte past its end: a read allocates what it asks for before it shrinks
-    it to what it got, 1 MiB for a file of 789 bytes. Each chunk is hashed
-    and decoded, and `loads_json` scans the text as it arrives, so neither
-    the file's bytes nor its text exist whole: inputs reach about 13 MB.
+    The file is read `_READ_CHUNK` bytes at a time, but a regular file never
+    more than one byte past its end: a read allocates what it asks for before
+    it shrinks it to what it got, 1 MiB for a file of 789 bytes. Any other
+    input (a pipe, a FIFO) has no size to bound a read by, so each read asks
+    for a chunk and gets what the pipe holds. Each chunk is hashed and
+    decoded, and `loads_json` scans the text as it arrives, so neither the
+    file's bytes nor its text exist whole: inputs reach about 13 MB.
     Invalid UTF-8 raises `UnicodeDecodeError` with its position counted in
     the file. A parsed object comes back as a `jsonio._Owned`, which the
     loaders may take "re" and "im" out of.
@@ -73,7 +76,8 @@ def _read_json(path: str) -> tuple:
     decoder = _UTF8()
     offset = 0  # bytes read before the current chunk
     with open(path, "rb", buffering=0) as fh:  # unbuffered: the reads are large, and small files read faster
-        end = os.fstat(fh.fileno()).st_size
+        st = os.fstat(fh.fileno())
+        end = st.st_size if stat.S_ISREG(st.st_mode) else sys.maxsize
 
         def chunk():  # the next chunk's text, None at the end; holds nothing between calls
             nonlocal offset

@@ -8,15 +8,15 @@ whole. It turns a top-level object's "re" and "im" arrays into float64
 arrays block by block, so their nested lists of Python floats never exist
 whole either. `dumps_json` is a hand-rolled serializer emitting floats
 with 17 significant digits (round-trip exact in double precision) and
-infinities as the string "inf"; byte-identical output for identical data is
-part of the contract. Dumped functions and kernels keep their values as
-float64 arrays, which `dumps_json` formats with numpy a block of values
-at a time (see `_Formatter`), into the text '%.17g' gives: the 17 digits
-come from a single long double rounding of |x| * 10^(16 - e), and a value
-that rounding cannot settle, or that lies outside the range where 10^|16 -
-e| is exact, is formatted by '%.17g' itself. An array's text is kept one
-leading-axis sub-array per piece. Loaders leave the object they are given
-as it was, except the CLI's `_Owned` objects.
+infinities as the string "inf"; it refuses NaN. Byte-identical output for
+identical data is part of the contract. Dumped functions and kernels keep
+their values as float64 arrays, which `dumps_json` formats with numpy a
+block of values at a time (see `_Formatter`), into the text '%.17g' gives:
+the 17 digits come from a single long double rounding of |x| * 10^(16 - e),
+and a value that rounding cannot settle, or that lies outside the range
+where 10^|16 - e| is exact, is formatted one at a time as a float outside
+an array is. An array's text is kept one block per piece. Loaders leave the
+object they are given as it was, except the CLI's `_Owned` objects.
 """
 
 from __future__ import annotations
@@ -514,18 +514,22 @@ def _layouts() -> tuple:
 
 
 class _Formatter:
-    """The '%.17g' texts of float64 values up to `size` at a time, nested in
-    the brackets of arrays of shape `unit`.
+    """The texts `_format_number` gives the `count` values of a float array
+    of shape `shape`, up to `size` at a time, in the array's brackets.
 
-    A value's row holds its number and, after it, its closing brackets, ", "
-    and the next value's opening brackets; bytes a row leaves unused are NUL,
+    A value's row holds its number and, after it, its tail: its closing
+    brackets, ", " and the next value's opening brackets, or the array's
+    closing brackets after its last value. Bytes a row leaves unused are NUL,
     and the text keeps the others. The buffers are allocated once per array
-    and reused through `out=`, so a block allocates little but its texts.
+    and reused through `out=`, so a block allocates little but its text.
     """
 
-    def __init__(self, size: int, unit: tuple) -> None:
-        self.unit, self.unit_size = unit, math.prod(unit)
-        words = 4 + -(-2 * len(unit) // 8)  # "]" per axis, then ", " and "[" per axis but one
+    def __init__(self, size: int, shape: tuple) -> None:
+        self.shape, self.count, self.period = shape, math.prod(shape), math.prod(shape[1:])
+        depth = len(shape)
+        words = 4 + -(-2 * depth // 8)  # the longest tail: "]" and "[" per axis but one, and ", "
+        texts = [("]" * c + ", " + "[" * c).encode() for c in range(depth)] + [b"]" * depth]
+        self.tails = np.array(texts, dtype=f"S{8 * (words - 4)}").view(np.uint64).reshape(-1, words - 4)
         self.pow10, self.quad_text, self.trailing_zeros, *tables = _tables()
         self.tables = [t if words == 5 else np.pad(t, ((0, 0), (0, words - 5))) for t in tables]
         self.rows, self.digits, self.work = np.zeros((3, size, words), dtype=np.uint64)  # digits: the A copy
@@ -537,35 +541,32 @@ class _Formatter:
         self.ints = np.empty((3, size), dtype=np.int64)
         self.trailing = np.empty(size, dtype=np.intp)
         self.chars = np.empty((5, size), dtype=np.uint32)
-        self.tail = (0, 0, None)  # (first position, count, tail words) of the last values formatted
+        self.tail = (0, 0, None)  # (first position in a period, count, tail words) of the last values formatted
 
-    def texts(self, v: np.ndarray, pos: int) -> list:
-        """Texts of values `v` from position `pos` of a unit: one per unit
-        they end, or one of the part of a unit they hold."""
+    def text(self, v: np.ndarray, pos: int) -> str:
+        """Text of values `v` from flat position `pos` of the array, each
+        followed by its tail."""
         n = len(v)
         rows = self._numbers(v)
-        rows[:, 4:] = self._tail(pos, n)
+        rows[:, 4:] = self._tail(pos % self.period, n)
+        if pos + n == self.count:
+            rows[-1, 4:] = self.tails[-1]
         raw = rows.view(np.uint8).reshape(-1)
         keep = np.not_equal(raw, 0, out=self.digits.view(bool).reshape(-1)[: raw.size])
-        ends = np.cumsum([np.count_nonzero(part) for part in keep.reshape(max(1, n // self.unit_size), -1)]).tolist()
-        text = np.compress(keep, raw, out=self.work.view(np.uint8).reshape(-1)[: ends[-1]])
-        return [str(text[i:j], "ascii") for i, j in zip([0] + ends, ends)]
+        text = np.compress(keep, raw, out=self.work.view(np.uint8).reshape(-1)[: np.count_nonzero(keep)])
+        return str(text, "ascii")
 
-    def _tail(self, pos: int, n: int) -> np.ndarray:
-        """Tail words of the values at positions pos .. pos + n - 1 of the unit:
-        "]" per axis the value ends, then ", " and as many "[" unless it ends
-        the unit."""
-        if self.tail[0] != pos or self.tail[1] < n:
+    def _tail(self, start: int, n: int) -> np.ndarray:
+        """Tail words of n values from position `start` of a period, the
+        array's last value aside: below the leading axis the tails repeat
+        every prod(shape[1:]) values."""
+        if self.tail[0] != start or self.tail[1] < n:
             closes = np.zeros(n, dtype=np.intp)
-            span, at = 1, pos + np.arange(n)
-            for size in reversed(self.unit):
+            span, at = 1, start + np.arange(n)
+            for size in reversed(self.shape[1:]):
                 span *= size
                 closes += (at + 1) % span == 0
-            depth = len(self.unit)
-            texts = [("]" * c + ", " + "[" * c).encode() for c in range(depth)] + [b"]" * depth]
-            words = self.rows.shape[1] - 4
-            table = np.array(texts, dtype=f"S{8 * words}").view(np.uint64).reshape(-1, words)
-            self.tail = (pos, n, table[closes])
+            self.tail = (start, n, self.tails[closes])
         return self.tail[2][:n]
 
     def _numbers(self, v: np.ndarray) -> np.ndarray:
@@ -578,19 +579,21 @@ class _Formatter:
         rounding is monotone, so D = floor(product + 1/2) unless the product
         lands on some k + 1/2, which is detected. 10^16 and 10^17 are exact
         as well, so a product rounded onto either bound gives the digits and
-        exponent its true value rounds to. '%.17g' itself formats a value
+        exponent its true value rounds to. `_format_number` formats a value
         whose product lands on a half, one outside 1e-10 <= |x| < 1e42
-        (where 10^|16-e| would not be exact) and, without a 64-bit long
-        double significand, every value.
+        (where 10^|16-e| would not be exact; infinities, and NaN, which it
+        refuses, too) and, without a 64-bit long double significand, every
+        value.
         """
         n = len(v)
         (x, f), (p, tmp), (zero, slow, neg) = self.x[:, :n], self.p[:, :n], self.flags[:, :n]
         s, (d, hi, lo), trailing = self.layout[:n], self.ints[:, :n], self.trailing[:n]
         np.abs(v, out=x)
         np.equal(x, 0, out=zero)
-        np.less(x, 1e-10, out=slow)
-        slow |= x >= 1e42
-        slow &= ~zero
+        np.greater_equal(x, 1e-10, out=slow)
+        slow &= x < 1e42
+        slow |= zero
+        np.logical_not(slow, out=slow)  # so NaN, which compares false, is slow, as are infinities
         if not _EXACT:
             slow[:] = True
         x[slow | zero] = 1.0  # placeholders: their digits are not used
@@ -647,7 +650,7 @@ class _Formatter:
 
         idx = np.flatnonzero(slow)
         if idx.size:
-            texts = np.array(["%.17g" % value for value in v[idx].tolist()], dtype="S32")
+            texts = np.array([_format_number(value) for value in v[idx].tolist()], dtype="S32")
             rows[idx, :4] = texts.view(np.uint64).reshape(-1, 4)
         return rows
 
@@ -669,33 +672,20 @@ def _divmod(x: np.ndarray, divisor: int, q: np.ndarray, r: np.ndarray) -> None:
 
 
 def _emit_array(a: np.ndarray, pieces: list) -> None:
-    """Nested-list text of a finite, non-empty float array.
+    """Nested-list text of a non-empty float array.
 
-    A `_Formatter` formats the values about `_EMIT_BLOCK` at a time. For an
-    array of two or more axes a block is a run of its leading-axis
-    sub-arrays, or a part of one, and each sub-array's text is a piece of
-    its own (or one per part): only one block exists as bytes, and no piece
-    holds the text of the whole array.
+    A `_Formatter` formats the values `_EMIT_BLOCK` at a time, or the most
+    whole leading-axis sub-arrays that fit, and each block's text is a piece
+    of its own: only one block exists as bytes, and no piece holds the text
+    of the whole array.
     """
-    unit = a.shape[1:] if a.ndim > 1 else a.shape
-    m = math.prod(unit)
-    block = min(_EMIT_BLOCK // m * m or _EMIT_BLOCK, a.size)  # whole units, or a part of one
-    fmt = _Formatter(block, unit)
+    m = math.prod(a.shape[1:])
+    block = min(_EMIT_BLOCK // m * m or _EMIT_BLOCK, a.size)
+    fmt = _Formatter(block, a.shape)
     flat = a.reshape(-1)
-    opener = "[" * len(unit)  # a unit's first value's brackets; the others' end the value before
-    pieces.append("[" + opener if a.ndim > 1 else opener)
-    lo = 0
-    while lo < a.size:
-        hi = min(lo + block, a.size if m <= block else lo - lo % m + m)
-        for text in fmt.texts(flat[lo:hi], lo % m):
-            pieces.append(text)
-            if hi % m == 0:
-                pieces.append(", " + opener)
-        lo = hi
-    if a.ndim > 1:
-        pieces[-1] = "]"
-    else:
-        pieces.pop()
+    pieces.append("[" * a.ndim)
+    for lo in range(0, a.size, block):
+        pieces.append(fmt.text(flat[lo : lo + block], lo))
 
 
 def _emit_dict(obj: dict, indent: int, pieces: list) -> None:
@@ -737,9 +727,9 @@ def _emit(obj, indent: int, pieces: list) -> None:
     elif isinstance(obj, (int, np.integer)):
         pieces.append(str(int(obj)))
     elif isinstance(obj, np.ndarray):
-        if obj.ndim and obj.size and obj.dtype.kind == "f" and np.isfinite(obj).all():
+        if obj.ndim and obj.size and obj.dtype.kind == "f":
             _emit_array(obj, pieces)
-        else:  # infinities, NaN, other dtypes and empty arrays take the list path
+        else:  # other dtypes, 0-d and empty arrays take the list path
             _emit(obj.tolist(), indent, pieces)
     elif isinstance(obj, complex):
         _emit({"re": obj.real, "im": obj.imag}, indent, pieces)

@@ -208,9 +208,9 @@ def _slice_extremizer(F: np.ndarray, norms: np.ndarray, masses: np.ndarray, p: f
         g0[:, pos] = 1.0
     elif p == INF:
         # conjugate is 1: a single normalized point mass at the maximum
-        for j in np.nonzero(pos)[0]:
-            i = int(np.argmax(F[:, j]))
-            g0[i, j] = 1.0 / masses[i]
+        cols = np.flatnonzero(pos)
+        rows = np.argmax(F[:, cols], axis=0)
+        g0[rows, cols] = 1.0 / masses[rows]
     else:
         g0[:, pos] = (F[:, pos] / norms[pos]) ** (p - 1.0)
     return g0

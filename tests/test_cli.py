@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import schurkit as sk
-from schurkit import jsonio
+from schurkit import cli, jsonio
 from schurkit.cli import run
 from schurkit.jsonio import dump_grid_function, dump_kernel, dumps_json
 from schurkit.operators import VERTEX_CAP
@@ -434,6 +434,50 @@ def test_array_emit_holds_one_subarray_text_per_piece():
     assert max(map(len, pieces)) <= max(len(dumps_json(sub)) for sub in vals)
 
 
+def test_array_emit_of_short_subarrays_holds_one_piece_per_block():
+    # 200000 one-value sub-arrays: a piece and a separator each would be
+    # 400001 pieces, and their string headers seven times the text
+    vals = np.random.default_rng(6).standard_normal((200000, 1))
+    pieces = []
+    jsonio._emit_array(vals, pieces)
+    assert len(pieces) == 1 + -(-vals.size // jsonio._EMIT_BLOCK)
+    tracemalloc.start()
+    try:
+        text = dumps_json({"re": vals})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "".join(['{\n  "re": '] + pieces + ["\n}"])
+    assert peak <= 2 * len(text) + 32 * jsonio._EMIT_BLOCK
+
+
+def test_array_emit_of_infinities_matches_list_emit():
+    # infinities at a block's first and last value, mid-block and at the
+    # array's ends of a 24^4 array, which takes several blocks
+    vals = np.random.default_rng(7).standard_normal((24,) * 4)
+    at = [0, 1, jsonio._EMIT_BLOCK - 1, jsonio._EMIT_BLOCK, 5000, vals.size - 2, vals.size - 1]
+    vals.flat[at] = np.resize([np.inf, -np.inf], len(at))
+    assert vals.size > 2 * jsonio._EMIT_BLOCK
+    text = dumps_json({"re": vals})
+    assert text == dumps_json(_as_lists({"re": vals}))
+    assert text.count('"inf"') == 4 and text.count('"-inf"') == 3
+
+
+# the ends of the array, of its first block and of its first sub-array
+@pytest.mark.parametrize("at", [0, 1, 4095, 4096, 13823, 13824, 24**4 - 1])
+def test_array_emit_refuses_nan_anywhere(at, tmp_path, capsys, monkeypatch):
+    vals = np.random.default_rng(8).standard_normal((24,) * 4)
+    vals.flat[at] = np.nan
+    with pytest.raises(ValueError, match="^refusing to serialize NaN$"):
+        dumps_json({"re": vals})
+    # the CLI prints no part of a certificate it cannot finish
+    afile = _lifted_kernel_file(tmp_path, "a.json")
+    monkeypatch.setattr(cli, "dump_kernel", lambda K: {"re": vals})
+    code, cert, err = _run(capsys, ["compose", "--left", afile, "--right", afile])
+    assert code == 2 and cert is None
+    assert err == "error: ValueError: refusing to serialize NaN\n"
+
+
 def _neighbours(x, steps):
     """x moved by `steps` ulps (toward +inf when steps > 0)."""
     for _ in range(abs(steps)):
@@ -456,6 +500,7 @@ _EDGE_FLOATS = st.one_of(
     st.floats(-1e-300, 1e-300, allow_subnormal=True),  # subnormals and tiny values
     st.floats(1e-10, 1e42) | st.floats(-1e42, -1e-10),  # the range formatted in numpy
     st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([np.inf, -np.inf]),  # printed as "inf" strings, on the same path
 )
 
 
@@ -465,7 +510,7 @@ _EDGE_FLOATS = st.one_of(
     st.sampled_from([jsonio._EMIT_BLOCK, 1, 3, 7, 64]),
 )
 def test_array_emit_matches_percent_17g(vals, block):
-    # the list route formats each value with '%.17g'
+    # the list route formats each finite value with '%.17g'
     saved, jsonio._EMIT_BLOCK = jsonio._EMIT_BLOCK, block
     try:
         dumped = {"re": vals}

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -282,6 +284,38 @@ def test_reading_a_small_file_allocates_no_read_chunk(tmp_path):
         tracemalloc.stop()
     assert obj["re"].shape == (5, 5)
     assert peak < 2**16 < cli._READ_CHUNK
+
+
+def test_reading_a_pipe_takes_whole_chunks(monkeypatch, tmp_path):
+    # a FIFO reports size 0: bounding its reads by that size read it a byte at a time
+    X = sk.ProductSpace(sk.counting_space(16), sk.counting_space(16))
+    K = sk.Kernel(X, X, np.random.default_rng(3).standard_normal(X.shape * 2))
+    data = dumps_json(dump_kernel(K)).encode()
+    assert len(data) > cli._READ_CHUNK
+    path = tmp_path / "k.json"
+    path.write_bytes(data)
+    fifo = tmp_path / "k.fifo"
+    os.mkfifo(fifo)
+    want, want_digest = cli._read_json(str(path))
+    reads = []
+
+    class Decoder(cli._UTF8):
+        def decode(self, data, final=False):
+            reads.append(len(data))
+            return super().decode(data, final)
+
+    monkeypatch.setattr(cli, "_UTF8", Decoder)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        obj, digest = cli._read_json(str(fifo))
+    finally:
+        writer.join()
+    assert digest == want_digest == hashlib.sha256(data).hexdigest()
+    assert dumps_json(dict(obj)) == dumps_json(dict(want))
+    # a pipe holds 64 KiB by default, and a read returns at least a page of it
+    assert sum(reads) == len(data)
+    assert len(reads) <= len(data) // 4096 + 2
 
 
 def test_an_early_syntax_error_is_final_at_once(monkeypatch, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import schurkit as sk
+from schurkit.mixed_norm import _slice_extremizer
 
 from conftest import EXPONENT_GRID, counting_grid_1234, rand_function, rand_positive, rand_product
 
@@ -134,6 +135,30 @@ def test_dual_extremizer_is_feasible():
             g = sk.dual_extremizer(f, p, q)
             dual = sk.mixed_norm(g, sk.conjugate_exponent(p), sk.conjugate_exponent(q))
             assert dual <= 1.0 + 1e-12
+
+
+def _slice_extremizer_inf_loop(F, norms, masses):
+    """The p = inf slice profile a column at a time: a point mass at the
+    column's first maximum."""
+    g0 = np.zeros(F.shape)
+    for j in np.nonzero(norms > 0)[0]:
+        i = int(np.argmax(F[:, j]))
+        g0[i, j] = 1.0 / masses[i]
+    return g0
+
+
+def test_slice_extremizer_at_inf_matches_the_column_loop():
+    # small integer grids tie often; some columns are all zero
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n1, n2 = rng.integers(1, 7, size=2)
+        F = rng.integers(0, 3, size=(n1, n2)).astype(float) * rng.choice([1.0, 0.5, 1e-300])
+        F[:, rng.random(n2) < 0.3] = 0.0
+        masses = rng.random(n1) + 0.1
+        norms = F.max(axis=0)
+        got = _slice_extremizer(F, norms, masses, INF)
+        want = _slice_extremizer_inf_loop(F, norms, masses)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_holder_inequality_for_pairing():
