@@ -8,12 +8,13 @@ evaluates every hypothesis needed for the associated function spaces to be
 well defined and discretizable. A Gabor frame's kernel is a phase times its
 window's N x N ambiguity grid, built with one inverse FFT and one gather;
 any other frame's is the N^5 inner products of its vectors, the oracle for
-the closed form. Dense frame and kernel builds past `_DENSE_BYTES` are
-refused before they allocate. `counterexample_kernel` builds the truncated
-oscillating kernel showing the third Schur constant can blow up while the
-operator norm stays bounded. Its entries are a product of three small
-factors, K[x1, x2, y1, y2] = phase[x1, y2] gate[x2, y2] amp[y1, y2], and
-its diagnostics are contractions of those factors: O(M(2N+1)^2) work and
+the closed form. Dense frame and kernel builds, and the counterexample's
+factors, past `operators._DENSE_BYTES` are refused before they allocate.
+`counterexample_kernel` builds the truncated oscillating kernel showing the
+third Schur constant can blow up while the operator norm stays bounded.
+Its entries are a product of three small factors,
+K[x1, x2, y1, y2] = phase[x1, y2] gate[x2, y2] amp[y1, y2], and its
+diagnostics are contractions of those factors: O(M(2N+1)^2) work and
 O(M(2N+1) + (2N+1)^2) memory, where the entries number M(2N+1)^3. The
 kernel itself is returned as a `SlabKernel`, built one block of its second
 target axis at a time when a reduction asks for it, and the slab scan of
@@ -30,7 +31,7 @@ from .coverings import RectCovering, maximal_kernel, special_linfty_weight, vali
 from .kernel_algebra import WeightGrid, mv_weight, norm_A, norm_B
 from .measure import ProductSpace, Space, counting_space
 from .mixed_norm import INF, GridFunction, mixed_norm, mixed_norm_values
-from .operators import Kernel, SchurConstants, SlabKernel, _draw_trials
+from .operators import Kernel, SchurConstants, SlabKernel, _draw_trials, _require_dense, _require_dense_bytes
 
 __all__ = [
     "FiniteFrame",
@@ -43,13 +44,6 @@ __all__ = [
     "sequence_norms",
     "counterexample_kernel",
 ]
-
-# Most bytes of one dense frame or kernel build. The Gabor kernel at N = 64,
-# 64^4 complex values or 256 MiB, fits; past the cap `gabor_frame` and
-# `reproducing_kernel` raise ValueError before they allocate, so the CLI
-# exits 2 instead of running out of memory.
-_DENSE_BYTES = 1 << 29
-
 
 class FiniteFrame:
     """A Parseval frame for C^d indexed by a finite product space.
@@ -96,13 +90,6 @@ class _GaborFrame(FiniteFrame):
         super().__init__(space, vectors, tol)
         window.setflags(write=False)
         self.window = window
-
-
-def _require_dense_bytes(what: str, count: int) -> None:
-    """Refuse, before allocating, a dense build of `count` complex values past `_DENSE_BYTES`."""
-    nbytes = count * np.dtype(complex).itemsize
-    if nbytes > _DENSE_BYTES:
-        raise ValueError(f"{what} needs {nbytes} bytes, over the {_DENSE_BYTES}-byte cap on dense builds")
 
 
 def gabor_frame(N: int, window) -> FiniteFrame:
@@ -233,10 +220,15 @@ def coorbit_report(
 ) -> CoorbitReport:
     """Evaluate every coorbit hypothesis for the frame's reproducing kernel.
 
-    Nothing here raises on a failed hypothesis — failures land in the report
-    as False flags or large constants. The margin is the discretization
-    quantity computed from the stored structured norms of the kernel and the
-    majorant L (both weighted by m0). The defaults:
+    The covering must cover the space with patches of positive product
+    mass: w^c and the patch-maximal kernel are defined only then, so a
+    covering that misses a point raises ValueError ("patches do not cover
+    the space"), as does one with an empty patch ("every patch must have
+    positive product mass"), and a returned report's covering_admissible is
+    True. No other hypothesis raises when it fails: those failures land in
+    the report as False flags or large constants. The margin is the
+    discretization quantity computed from the stored structured norms of the
+    kernel and the majorant L (both weighted by m0). The defaults:
 
     - u = None takes u = 1;
     - v = None takes v = max(|psi_x|, u / w^c), the least v whose
@@ -247,11 +239,13 @@ def coorbit_report(
       is monotone;
     - L = None takes the patch-maximal kernel computed here as the majorant,
       which it dominates by definition, so no entry is compared. A given L
-      must be a kernel over the frame's index space.
+      must be a dense kernel over the frame's index space.
     """
     space = frame.space
-    if L is not None and (L.X != space or L.Y != space):
-        raise ValueError("majorant L must be square over the frame's index space")
+    if L is not None:
+        _require_dense(L, "coorbit_report")
+        if L.X != space or L.Y != space:
+            raise ValueError("majorant L must be square over the frame's index space")
     if v is not None and v.space != space:
         raise ValueError("weight v does not live on the frame's index space")
     if u is None:
@@ -410,10 +404,17 @@ def counterexample_kernel(N: int, M: int, trials: int = 32, seed: int = 0):
     which is at most sqrt(2*zeta(4/3) - 1) once M >= 2N. The lower bound is
     the best ratio over point masses, the constant function and the vertex
     f(N, .) = 1 / beta_N, followed by seeded random draws only when `trials`
-    exceeds (2N+1)^2 + 1.
+    exceeds (2N+1)^2 + 1. Past the cap on dense builds the run is refused
+    with ValueError before anything is allocated.
     """
     if N < 1 or M < 2:
         raise ValueError("need N >= 1 and M >= 2")
+    # the factors, the scan's temporaries and, per trial function, its sums
+    # and images: traced peaks in a warm process for 17 <= 2N+1 <= 257 and
+    # M <= 1024 stay under (6 + 3 b) w (w + M) complex values for b trials
+    w = 2 * N + 1
+    batch = max(0, trials - (w * w + 1)) + 1
+    _require_dense_bytes(f"the counterexample of N = {N}, M = {M}", (6 + 3 * batch) * w * (w + M))
     xs = np.arange(M) / M
     ks = np.arange(-N, N + 1)
     cm = (1.0 + np.abs(ks)) ** (-2.0 / 3.0)

@@ -18,7 +18,7 @@ import numpy as np
 from .kernel_algebra import WeightGrid, norm_B, weight_domination_constant
 from .measure import ProductSpace
 from .mixed_norm import GridFunction, mixed_norm
-from .operators import Kernel
+from .operators import Kernel, _require_dense
 from .sum_space import split_four
 
 __all__ = [
@@ -196,6 +196,7 @@ def maximal_kernel(K: Kernel, cov: RectCovering) -> Kernel:
     U(x) is the union of all patches containing x; since x belongs to it,
     M K >= |K| entrywise.
     """
+    _require_dense(K, "maximal_kernel")
     _require_square(K, cov)
     A = np.abs(K.values)
     out = np.zeros_like(A)
@@ -214,6 +215,7 @@ def oscillation(K: Kernel, cov: RectCovering, phase: PhaseGrid | None = None) ->
     The patches act on the *second* argument here. With the default phase 1
     and singleton patches the oscillation vanishes identically.
     """
+    _require_dense(K, "oscillation")
     _require_square(K, cov)
     if phase is not None and (phase.X != cov.space or phase.Y != cov.space):
         raise ValueError("phase grid must be square over the covered space")

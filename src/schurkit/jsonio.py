@@ -10,8 +10,8 @@ whole either. `dumps_json` is a hand-rolled serializer emitting floats
 with 17 significant digits (round-trip exact in double precision) and
 infinities as the string "inf"; it refuses NaN. Byte-identical output for
 identical data is part of the contract. Dumped functions and kernels keep
-their values as float64 arrays, which `dumps_json` formats with numpy a
-block of values at a time (see `_Formatter`), into the text '%.17g' gives:
+their values as float64 arrays, which `dumps_json` formats with numpy
+4,096 values at a time (see `_Formatter`), into the text '%.17g' gives:
 the 17 digits come from a single long double rounding of |x| * 10^(16 - e),
 and a value that rounding cannot settle, or that lies outside the range
 where 10^|16 - e| is exact, is formatted one at a time as a float outside
@@ -515,7 +515,8 @@ def _layouts() -> tuple:
 
 class _Formatter:
     """The texts `_format_number` gives the `count` values of a float array
-    of shape `shape`, up to `size` at a time, in the array's brackets.
+    of shape `shape`, up to `size` at a time (`_emit_array` passes
+    `_EMIT_BLOCK`, 4,096), in the array's brackets.
 
     A value's row holds its number and, after it, its tail: its closing
     brackets, ", " and the next value's opening brackets, or the array's
@@ -525,7 +526,7 @@ class _Formatter:
     """
 
     def __init__(self, size: int, shape: tuple) -> None:
-        self.shape, self.count, self.period = shape, math.prod(shape), math.prod(shape[1:])
+        self.shape, self.count = shape, math.prod(shape)
         depth = len(shape)
         words = 4 + -(-2 * depth // 8)  # the longest tail: "]" and "[" per axis but one, and ", "
         texts = [("]" * c + ", " + "[" * c).encode() for c in range(depth)] + [b"]" * depth]
@@ -541,14 +542,13 @@ class _Formatter:
         self.ints = np.empty((3, size), dtype=np.int64)
         self.trailing = np.empty(size, dtype=np.intp)
         self.chars = np.empty((5, size), dtype=np.uint32)
-        self.tail = (0, 0, None)  # (first position in a period, count, tail words) of the last values formatted
 
     def text(self, v: np.ndarray, pos: int) -> str:
         """Text of values `v` from flat position `pos` of the array, each
         followed by its tail."""
         n = len(v)
         rows = self._numbers(v)
-        rows[:, 4:] = self._tail(pos % self.period, n)
+        self._tail(pos, rows[:, 4:])
         if pos + n == self.count:
             rows[-1, 4:] = self.tails[-1]
         raw = rows.view(np.uint8).reshape(-1)
@@ -556,18 +556,16 @@ class _Formatter:
         text = np.compress(keep, raw, out=self.work.view(np.uint8).reshape(-1)[: np.count_nonzero(keep)])
         return str(text, "ascii")
 
-    def _tail(self, start: int, n: int) -> np.ndarray:
-        """Tail words of n values from position `start` of a period, the
-        array's last value aside: below the leading axis the tails repeat
-        every prod(shape[1:]) values."""
-        if self.tail[0] != start or self.tail[1] < n:
-            closes = np.zeros(n, dtype=np.intp)
-            span, at = 1, start + np.arange(n)
-            for size in reversed(self.shape[1:]):
-                span *= size
-                closes += (at + 1) % span == 0
-            self.tail = (start, n, self.tails[closes])
-        return self.tail[2][:n]
+    def _tail(self, start: int, out: np.ndarray) -> None:
+        """Tail words of the values from flat position `start` into `out`,
+        the array's last value aside. A value that ends sub-arrays of the
+        last k axes closes k brackets, and such values sit every
+        prod(shape[-k:]) positions."""
+        out[:] = self.tails[0]
+        span = 1
+        for k, size in enumerate(reversed(self.shape[1:]), 1):
+            span *= size
+            out[(-start - 1) % span :: span] = self.tails[k]
 
     def _numbers(self, v: np.ndarray) -> np.ndarray:
         """Rows of `v` with the number in the first four words.
@@ -674,13 +672,11 @@ def _divmod(x: np.ndarray, divisor: int, q: np.ndarray, r: np.ndarray) -> None:
 def _emit_array(a: np.ndarray, pieces: list) -> None:
     """Nested-list text of a non-empty float array.
 
-    A `_Formatter` formats the values `_EMIT_BLOCK` at a time, or the most
-    whole leading-axis sub-arrays that fit, and each block's text is a piece
-    of its own: only one block exists as bytes, and no piece holds the text
-    of the whole array.
+    A `_Formatter` formats the values `_EMIT_BLOCK` (4,096) at a time, the
+    last block shorter, and each block's text is a piece of its own: only one
+    block exists as bytes, and no piece holds the text of the whole array.
     """
-    m = math.prod(a.shape[1:])
-    block = min(_EMIT_BLOCK // m * m or _EMIT_BLOCK, a.size)
+    block = min(_EMIT_BLOCK, a.size)
     fmt = _Formatter(block, a.shape)
     flat = a.reshape(-1)
     pieces.append("[" * a.ndim)

@@ -62,6 +62,11 @@ VERTEX_CAP = 10**6  # most unit-ball vertices the brute-force oracle enumerates
 # one-slab 12^4 kernel took 8.0 ms instead of 0.007 ms in 3 of 10 fresh
 # processes.
 _SLAB_BYTES = 1 << 20
+# Most bytes of one dense build. The Gabor kernel at N = 64, 64^4 complex
+# values or 256 MiB, fits; past the cap `gabor_frame`, `reproducing_kernel`,
+# `counterexample_kernel` and the lower search's trial batch raise ValueError
+# before they allocate, so the CLI exits 2 instead of running out of memory.
+_DENSE_BYTES = 1 << 29
 
 
 def _slab_slices(X: ProductSpace, Y: ProductSpace, itemsize: int) -> list[slice]:
@@ -180,6 +185,13 @@ class SlabKernel:
         return f"SlabKernel(X={self.X.shape}, Y={self.Y.shape}, dtype={self.dtype})"
 
 
+def _require_dense_bytes(what: str, count: int, itemsize: int = np.dtype(complex).itemsize) -> None:
+    """Refuse, before allocating, a dense build of `count` values of `itemsize` bytes past `_DENSE_BYTES`."""
+    nbytes = count * itemsize
+    if nbytes > _DENSE_BYTES:
+        raise ValueError(f"{what} needs {nbytes} bytes, over the {_DENSE_BYTES}-byte cap on dense builds")
+
+
 def _require_dense(K, name: str) -> None:
     if not isinstance(K, Kernel):
         raise TypeError(f"{name} needs a dense Kernel, got {type(K).__name__}")
@@ -230,6 +242,14 @@ def _draw_trials(K, p, q, trials: int, seed: int) -> _Trials:
     # every point mass (taken in closed form by `_scan`) and the constant always
     # run; random draws fill what is left of `trials`, if anything is
     n_rand = max(0, trials - (n1y * n2y + 1))
+    # per trial function: its draw, batch row and weighted copy, and its
+    # image on one slab, each with float temporaries; `schur_scan`'s traced
+    # peaks stay under this on real and complex kernels from 4^2 x 8^2 to
+    # 64^2 x 2^2, with 400 to 2000 trials
+    itemsize = np.dtype(K.dtype).itemsize
+    rows = K.X.factor1.size * _slab_slices(K.X, K.Y, itemsize)[0].stop
+    per_trial = K.Y.size * (3 * itemsize + 16) + rows * (itemsize + 16)
+    _require_dense_bytes(f"a lower search of {n_rand + 1} trial functions", (n_rand + 1) * per_trial, 1)
     rng = np.random.default_rng(seed)
     if K.is_real:
         rand = rng.random((n_rand, n1y, n2y))

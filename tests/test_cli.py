@@ -295,6 +295,37 @@ def test_counterexample_subcommand(capsys):
     assert _check(cert, "sampled_lower_le_ell2_upper")["pass"]
 
 
+def test_runs_past_the_cap_exit_2_naming_the_bytes(tmp_path, capsys, monkeypatch):
+    kfile = _lifted_kernel_file(tmp_path)
+    monkeypatch.setattr(sk.operators, "_DENSE_BYTES", 1 << 20)
+    for argv, nbytes in [
+        (["counterexample", "--N", "64", "--M", "64"], 9 * 129 * 193 * 16),  # (6 + 3) w (w + M) complex values
+        (["counterexample", "--N", "4", "--M", "8", "--trials", "1000000"], (6 + 3 * (10**6 - 81)) * 9 * 17 * 16),
+        (["schur", "--kernel", kfile, "--trials", "1000000"], None),
+    ]:
+        code, cert, err = _run(capsys, argv)
+        assert code == 2 and cert is None, err
+        assert "bytes, over the 1048576-byte cap on dense builds" in err, err
+        if nbytes is not None:
+            assert f"needs {nbytes} bytes" in err, err
+
+
+@pytest.mark.parametrize(
+    "patches, message",
+    [
+        ([{"V": [0, 1], "W": [0, 1, 2, 3]}], "patches do not cover the space"),
+        ([{"V": [], "W": [0]}, {"V": [0, 1, 2, 3], "W": [0, 1, 2, 3]}], "every patch must have positive product mass"),
+    ],
+)
+def test_coorbit_refuses_an_inadmissible_covering(tmp_path, capsys, patches, message):
+    # w^c and the patch-maximal kernel need a covering with positive patches
+    framefile = _write(tmp_path / "frame.json", {"type": "gabor", "N": 4, "window": [1, 2, 3, 4]})
+    covfile = _write(tmp_path / "cov.json", {"patches": patches})
+    code, cert, err = _run(capsys, ["coorbit", "--frame", framefile, "--covering", covfile])
+    assert code == 2 and cert is None
+    assert err == f"error: ValueError: {message}\n"
+
+
 def test_malformed_json_reports_error(tmp_path, capsys):
     bad = _write(tmp_path / "bad.json", "{not json")
     code, cert, err = _run(capsys, ["schur", "--kernel", bad])
@@ -461,6 +492,42 @@ def test_array_emit_of_infinities_matches_list_emit():
     text = dumps_json({"re": vals})
     assert text == dumps_json(_as_lists({"re": vals}))
     assert text.count('"inf"') == 4 and text.count('"-inf"') == 3
+
+
+@pytest.mark.parametrize("shape", [(12,) * 4, (24,) * 4, (7, 11, 13, 9)])
+def test_array_emit_blocks_hold_emit_block_values(shape):
+    # every piece after the opener but the last holds _EMIT_BLOCK values,
+    # whatever the sub-array length; each value but the array's last is
+    # followed by exactly one comma
+    vals = np.random.default_rng(10).standard_normal(shape)
+    pieces = []
+    jsonio._emit_array(vals, pieces)
+    assert pieces[0] == "[" * len(shape)
+    assert "".join(pieces) == dumps_json(vals)
+    counts = [piece.count(",") for piece in pieces[1:]]
+    assert len(counts) == -(-vals.size // jsonio._EMIT_BLOCK)
+    assert counts[:-1] == [jsonio._EMIT_BLOCK] * (len(counts) - 1)
+    assert counts[-1] == (vals.size - 1) % jsonio._EMIT_BLOCK
+
+
+@pytest.mark.parametrize("shape", [(12,) * 4, (7, 11, 13, 9)])
+@pytest.mark.parametrize("block", [jsonio._EMIT_BLOCK, 7])
+def test_array_emit_matches_list_emit_from_every_block_start(shape, block, monkeypatch):
+    # a block's tails depend only on where it starts within the
+    # prod(shape[1:]) values of a leading-axis sub-array; 7 values a block
+    # start at every offset of it
+    period = int(np.prod(shape[1:]))
+    size = int(np.prod(shape))
+    starts = {lo % period for lo in range(0, size, block)}
+    if block == 7:
+        assert starts == set(range(period))
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 30, shape)
+    vals.flat[::97] = np.inf
+    vals.flat[size - 1] = -np.inf
+    monkeypatch.setattr(jsonio, "_EMIT_BLOCK", block)
+    dumped = {"re": vals}
+    assert dumps_json(dumped) == dumps_json(_as_lists(dumped))
 
 
 # the ends of the array, of its first block and of its first sub-array

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import schurkit as sk
+from schurkit import operators
 
 from conftest import rand_covering
 
@@ -146,6 +148,88 @@ def test_dense_frame_builds_past_the_cap_are_refused_before_allocating():
         sk.reproducing_kernel(wide)
     # the N = 64 kernel stays within the cap
     sk.coorbit._require_dense_bytes("the N = 64 kernel", 64**4)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _small_kernel(shape, cplx):
+    rng = np.random.default_rng(3)
+    X = sk.ProductSpace(sk.counting_space(shape[0]), sk.counting_space(shape[1]))
+    Y = sk.ProductSpace(sk.counting_space(shape[2]), sk.counting_space(shape[3]))
+    vals = rng.random(shape)
+    return sk.Kernel(X, Y, vals + 1j * vals[::-1] if cplx else vals)
+
+
+# (call, the bytes it is refused at). The counterexample needs (6 + 3b) w (w + M)
+# complex values for w = 2N + 1 and b trial functions (b = 1 up to w^2 + 1 trials);
+# the lower search over |Y| = 16 takes |Y| (3 itemsize + 16) + rows (itemsize + 16)
+# bytes for each of its b = trials - 16 functions, with 4 rows a slab
+_OVER_THE_CAP = [
+    (lambda: sk.counterexample_kernel(64, 64), 9 * 129 * 193 * 16),
+    (lambda: sk.counterexample_kernel(4, 8, trials=10**6), (6 + 3 * (10**6 - 81)) * 9 * 17 * 16),
+    (lambda: sk.schur_scan(_small_kernel((2, 2, 4, 4), False), 2, 3, trials=10**6), (10**6 - 16) * (16 * 40 + 4 * 24)),
+    (lambda: sk.opnorm_lower_search(_small_kernel((2, 2, 4, 4), True), 1, 1, trials=10**6), (10**6 - 16) * (16 * 64 + 4 * 32)),
+]
+
+
+@pytest.mark.parametrize("call, nbytes", _OVER_THE_CAP)
+def test_counterexample_and_trial_batches_past_the_cap_are_refused_before_allocating(call, nbytes, monkeypatch):
+    monkeypatch.setattr(operators, "_DENSE_BYTES", 1 << 20)
+
+    def refused():
+        with pytest.raises(ValueError, match=f"needs {nbytes} bytes, over the 1048576-byte cap"):
+            call()
+
+    assert _traced_peak(refused) < 2**20
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sk.counterexample_kernel(8, 16),
+        lambda: sk.counterexample_kernel(16, 64),
+        lambda: sk.counterexample_kernel(2, 64, trials=600),
+        lambda: sk.counterexample_kernel(8, 64, trials=1500),
+        lambda: sk.schur_scan(_small_kernel((4, 4, 8, 8), False), 2, 3, trials=2000),
+        lambda: sk.schur_scan(_small_kernel((4, 4, 8, 8), True), 1, np.inf, trials=2000),
+        lambda: sk.schur_scan(_small_kernel((16, 16, 2, 2), True), 2, 3, trials=2000),
+    ],
+)
+def test_size_estimates_bound_the_traced_peak(call, monkeypatch):
+    call()  # warm: a first call also traces lazily built module state
+    peak = _traced_peak(call)
+    monkeypatch.setattr(operators, "_DENSE_BYTES", 0)
+    with pytest.raises(ValueError, match="needs") as refused:
+        call()
+    nbytes = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
+    assert peak < nbytes
+    monkeypatch.setattr(operators, "_DENSE_BYTES", nbytes)
+    call()  # at its own estimate a run is allowed
+
+
+def _lazy(K):
+    return sk.SlabKernel(K.X, K.Y, K.dtype, lambda sl: K.values[:, sl])
+
+
+@pytest.mark.parametrize("name", ["maximal_kernel", "oscillation", "coorbit_report"])
+def test_covering_and_coorbit_functions_refuse_a_slab_kernel_by_name(name):
+    frame = sk.gabor_frame(4, [1, 2, 3, 4])
+    K = sk.reproducing_kernel(frame)
+    cov = _full_patch_covering(frame.space)
+    call = {
+        "maximal_kernel": lambda: sk.maximal_kernel(_lazy(K), cov),
+        "oscillation": lambda: sk.oscillation(_lazy(K), cov),
+        "coorbit_report": lambda: sk.coorbit_report(frame, cov, L=_lazy(sk.maximal_kernel(K, cov))),
+    }[name]
+    with pytest.raises(TypeError, match=f"^{name} needs a dense Kernel, got SlabKernel$"):
+        call()
 
 
 def test_voice_range_is_reproduced():
