@@ -30,7 +30,7 @@ import numpy as np
 from .coverings import RectCovering, maximal_kernel, special_linfty_weight, validate_covering
 from .kernel_algebra import WeightGrid, mv_weight, norm_A, norm_B
 from .measure import ProductSpace, Space, counting_space
-from .mixed_norm import INF, GridFunction, mixed_norm, mixed_norm_values
+from .mixed_norm import INF, GridFunction, _weight_values, mixed_norm, mixed_norm_values
 from .operators import Kernel, SchurConstants, SlabKernel, _draw_trials, _require_dense, _require_dense_bytes
 
 __all__ = [
@@ -98,12 +98,13 @@ def gabor_frame(N: int, window) -> FiniteFrame:
     The window is unit-normalized; the frame vector at (a, b) is the window
     translated by a, modulated by frequency b, and scaled by 1/sqrt(N). The
     resulting family is a Parseval frame for C^N (each vector has norm
-    1/sqrt(N)). Its N^3 complex values are refused with ValueError, before
+    1/sqrt(N)). Its N^3 complex values, the frame's copy of them and their
+    conjugate in the Parseval check are refused with ValueError, before
     anything is allocated, past the cap on dense builds.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    _require_dense_bytes(f"a Gabor frame of N = {N}", int(N) ** 3)
+    _require_dense_bytes(f"a Gabor frame of N = {N}", 3 * int(N) ** 3)
     g = np.asarray(window, dtype=complex)
     if g.shape != (N,):
         raise ValueError(f"window must have length {N}")
@@ -153,11 +154,11 @@ def reproducing_kernel(frame: FiniteFrame) -> Kernel:
 
     A frame from `gabor_frame` gets the closed form of `_gabor_kernel`; any
     other frame takes the inner products of its vectors. The kernel's
-    complex values are refused with ValueError, before anything is
-    allocated, past the cap on dense builds.
+    complex values and the `Kernel`'s copy of them are refused with
+    ValueError, before anything is allocated, past the cap on dense builds.
     """
     n = frame.space.size
-    _require_dense_bytes(f"a reproducing kernel over {n} index points", n * n)
+    _require_dense_bytes(f"a reproducing kernel over {n} index points", 2 * n * n)
     if isinstance(frame, _GaborFrame):
         vals = _gabor_kernel(frame.window)
     else:
@@ -187,7 +188,6 @@ class CoorbitReport:
     norm_a_mv: float  # plain norm of K weighted by the ratio weight of v
     norm_b_kpsi: float  # structured norm of K under m0
     norm_b_majorant: float  # structured norm of the majorant under m0
-    covering_admissible: bool
     u_moderateness: float
     v_at_least_one: bool
     v_domination_constant: float  # smallest C with max{|psi_x|, u/w^c} <= C*v
@@ -198,12 +198,7 @@ class CoorbitReport:
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.covering_admissible
-            and self.v_at_least_one
-            and self.m0_symmetric
-            and self.kernel_dominated
-        )
+        return self.v_at_least_one and self.m0_symmetric and self.kernel_dominated
 
     @property
     def margin_pass(self) -> bool:
@@ -224,9 +219,10 @@ def coorbit_report(
     mass: w^c and the patch-maximal kernel are defined only then, so a
     covering that misses a point raises ValueError ("patches do not cover
     the space"), as does one with an empty patch ("every patch must have
-    positive product mass"), and a returned report's covering_admissible is
-    True. No other hypothesis raises when it fails: those failures land in
-    the report as False flags or large constants. The margin is the
+    positive product mass"). So does a weight u or v that is off the frame's
+    index space or not real, finite and strictly positive. No other
+    hypothesis raises when it fails: those failures land in the report as
+    False flags or large constants. The margin is the
     discretization quantity computed from the stored structured norms of the
     kernel and the majorant L (both weighted by m0). The defaults:
 
@@ -246,8 +242,8 @@ def coorbit_report(
         _require_dense(L, "coorbit_report")
         if L.X != space or L.Y != space:
             raise ValueError("majorant L must be square over the frame's index space")
-    if v is not None and v.space != space:
-        raise ValueError("weight v does not live on the frame's index space")
+    if v is not None:
+        _weight_values(space, v, "v", "the frame's index space")
     if u is None:
         u = GridFunction(space, np.ones(space.shape))
     report = validate_covering(cov, u)
@@ -277,7 +273,6 @@ def coorbit_report(
         norm_a_mv=norm_a_mv,
         norm_b_kpsi=norm_b_kpsi,
         norm_b_majorant=norm_b_majorant,
-        covering_admissible=report.admissible,
         u_moderateness=float(report.moderateness),
         v_at_least_one=v_ok,
         v_domination_constant=v_dom,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .kernel_algebra import WeightGrid, norm_B, weight_domination_constant
 from .measure import ProductSpace
-from .mixed_norm import GridFunction, mixed_norm
-from .operators import Kernel, _require_dense
+from .mixed_norm import GridFunction, _weight_values, mixed_norm
+from .operators import Kernel, _require_dense, _require_dense_bytes
 from .sum_space import split_four
 
 __all__ = [
@@ -135,11 +135,8 @@ def validate_covering(cov: RectCovering, u: GridFunction | None = None) -> Cover
 
     moderateness = None
     if u is not None:
-        if u.space != cov.space:
-            raise ValueError("weight u does not live on the covered space")
-        if not u.is_real or np.any(u.values <= 0):
-            raise ValueError("weight u must be strictly positive")
-        ux = np.broadcast_to(u.values, cov.product_masks.shape)  # a view: no (P, n1, n2) copy
+        uv = _weight_values(cov.space, u, "u", "the covered space")
+        ux = np.broadcast_to(uv, cov.product_masks.shape)  # a view: no (P, n1, n2) copy
         hi = np.maximum.reduce(ux, axis=(1, 2), where=cov.product_masks, initial=0.0)
         lo = np.minimum.reduce(ux, axis=(1, 2), where=cov.product_masks, initial=np.inf)
         moderateness = float((hi[positive] / lo[positive]).max(initial=1.0))
@@ -190,14 +187,25 @@ def _require_square(K: Kernel, cov: RectCovering) -> None:
         raise ValueError("patches do not cover the space")
 
 
+def _require_patch_bytes(name: str, cov: RectCovering, grids: int, per_pair: int) -> None:
+    """Refuse, before allocating, `grids` float grids of a square kernel's shape
+    and `per_pair` bytes per (point, point of the largest patch) pair."""
+    n, t = cov.space.size, int(cov.product_masks.sum(axis=(1, 2)).max())
+    _require_dense_bytes(f"{name} over {n} points, largest patch {t}", (8 * grids * n + per_pair * t) * n, 1)
+
+
 def maximal_kernel(K: Kernel, cov: RectCovering) -> Kernel:
     """Patch-maximal kernel (M K)(x, y) = max over z in U(x) of |K(z, y)|.
 
     U(x) is the union of all patches containing x; since x belongs to it,
-    M K >= |K| entrywise.
+    M K >= |K| entrywise. |K|, the result and the `Kernel`'s copy of it,
+    and a patch's gathered rows of the result and their maximum, are
+    refused with ValueError, before anything is allocated, past the cap on
+    dense builds.
     """
     _require_dense(K, "maximal_kernel")
     _require_square(K, cov)
+    _require_patch_bytes("maximal_kernel", cov, 3, 16)
     A = np.abs(K.values)
     out = np.zeros_like(A)
     for j in range(len(cov)):
@@ -213,17 +221,20 @@ def oscillation(K: Kernel, cov: RectCovering, phase: PhaseGrid | None = None) ->
     """Phase-corrected variation osc(x, y) = max over z in U(y) of |K(x,y) - phase(y,z) K(x,z)|.
 
     The patches act on the *second* argument here. With the default phase 1
-    and singleton patches the oscillation vanishes identically.
+    and singleton patches the oscillation vanishes identically. The result
+    and the `Kernel`'s copy of it, and per patch the kernel's columns, the
+    phased column, their difference and its modulus, are refused with
+    ValueError, before anything is allocated, past the cap on dense builds.
     """
     _require_dense(K, "oscillation")
     _require_square(K, cov)
     if phase is not None and (phase.X != cov.space or phase.Y != cov.space):
         raise ValueError("phase grid must be square over the covered space")
-    Kv = K.values if phase is None else K.values.astype(complex)
-    out = np.zeros(Kv.shape[:2] + cov.space.shape)
+    _require_patch_bytes("oscillation", cov, 2, 64)
+    out = np.zeros(K.X.shape + K.Y.shape)
     for j in range(len(cov)):
         y1, y2 = np.nonzero(cov.product_masks[j])
-        Ky = Kv[:, :, y1, y2]  # (n1, n2, t)
+        Ky = K.values[:, :, y1, y2]  # (n1, n2, t)
         patch_osc = out[:, :, y1, y2]
         # the max over z runs one patch point at a time: no (n1, n2, t, t) cube
         for z in range(y1.size):
@@ -237,10 +248,8 @@ def oscillation(K: Kernel, cov: RectCovering, phase: PhaseGrid | None = None) ->
 
 def special_linfty_weight(cov: RectCovering, u: GridFunction) -> GridFunction:
     """The target weight v = u / (continuous covering weight), pointwise."""
-    if u.space != cov.space:
-        raise ValueError("weight u does not live on the covered space")
-    _, wc, _ = covering_weights(cov)
-    return GridFunction(cov.space, u.values / wc.values)
+    uv = _weight_values(cov.space, u, "u", "the covered space")
+    return GridFunction(cov.space, uv / _owner_ratios(cov)[1].values)
 
 
 @dataclass(frozen=True)
@@ -280,12 +289,9 @@ def sup_bound_certificate(
     """
     _require_square(L, cov)
     space = cov.space
-    if w is None:
-        w = GridFunction(space, np.ones(space.shape))
+    w = GridFunction(space, np.ones(space.shape) if w is None else _weight_values(space, w, "w", "the covered space"))
     _, wc, ratio = _owner_ratios(cov)
     report = validate_covering(cov, u)
-    if not report.admissible:
-        raise ValueError("covering must cover with positive patches")
 
     c1 = weight_domination_constant(w, w, m)
     c2 = c1 * norm_B(L, m)

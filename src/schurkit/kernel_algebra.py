@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .measure import ProductSpace, Space, counting_space, singleton_space
-from .mixed_norm import GridFunction
-from .operators import Kernel, _require_dense, _scan
+from .mixed_norm import GridFunction, _weight_values
+from .operators import Kernel, _require_dense, _require_dense_bytes, _scan
 
 __all__ = [
     "WeightGrid",
@@ -133,12 +133,17 @@ def separable_kernel(a, b, X: ProductSpace, Y: ProductSpace) -> Kernel:
 
 
 def mv_weight(v: GridFunction) -> WeightGrid:
-    """Symmetric ratio weight m_v(x, y) = max{v(x)/v(y), v(y)/v(x)}."""
-    vv = v.values
-    if not v.is_real or not np.all(vv > 0):
-        raise ValueError("mv_weight needs a strictly positive real function")
+    """Symmetric ratio weight m_v(x, y) = max{v(x)/v(y), v(y)/v(x)}.
+
+    The ratio grid, its symmetric maximum and the `WeightGrid`'s copy are
+    refused with ValueError, before anything is allocated, past the cap on
+    dense builds; the first grid is freed before the copy is made.
+    """
+    vv = _weight_values(v.space, v, "v", "its own space")
+    _require_dense_bytes(f"mv_weight over {v.space.size} points", 3 * v.space.size**2, 8)
     r = vv[:, :, None, None] / vv[None, None, :, :]
-    return WeightGrid(v.space, v.space, np.maximum(r, r.transpose(2, 3, 0, 1)))
+    r = np.maximum(r, r.transpose(2, 3, 0, 1))
+    return WeightGrid(v.space, v.space, r)
 
 
 def lift_plain_kernel(a, X1: Space | None = None, Y1: Space | None = None) -> Kernel:
@@ -177,8 +182,15 @@ def submult_weight_constant(tau: WeightGrid, omega: WeightGrid, sigma: WeightGri
 
 
 def weight_domination_constant(v: GridFunction, w: GridFunction, m: WeightGrid) -> float:
-    """Smallest C with v(x) <= C * w(y) * m(x,y) for all x, y."""
-    if v.space != m.X or w.space != m.Y:
-        raise ValueError("weights do not match the grid's spaces")
-    ratio = v.values[:, :, None, None] / (w.values[None, None, :, :] * m.values)
+    """Smallest C with v(x) <= C * w(y) * m(x,y) for all x, y.
+
+    The grid w m and the ratio grid, with a third grid's room for numpy's
+    buffers, are refused with ValueError, before anything is allocated,
+    past the cap on dense builds.
+    """
+    vv = _weight_values(m.X, v, "v", "the grid's target space")
+    wv = _weight_values(m.Y, w, "w", "the grid's source space")
+    nx, ny = m.X.size, m.Y.size
+    _require_dense_bytes(f"weight_domination_constant over {nx} x {ny} points", 3 * nx * ny, 8)
+    ratio = vv[:, :, None, None] / (wv[None, None, :, :] * m.values)
     return float(ratio.max())

@@ -154,18 +154,21 @@ def mixed_norm_values(g: np.ndarray, m1: np.ndarray, m2: np.ndarray, p: float, q
     return lp_norms(lp_norms(g, m1, p, axis=-2), m2, q, axis=-1)
 
 
-def _weight_values(space: ProductSpace, w) -> np.ndarray:
-    """Accept a GridFunction or array as a weight; validate positivity."""
+def _weight_values(space: ProductSpace, w, name: str, where: str) -> np.ndarray:
+    """The values of weight `name`, a GridFunction or an array, checked against `space`.
+
+    The one check for a weight function: it must live on `space` (described
+    as `where` in the message) and be real, finite and strictly positive.
+    """
     if isinstance(w, GridFunction):
-        if w.space != space:
-            raise ValueError("weight lives on a different space")
-        wv = w.values
+        on_space, wv = w.space == space, w.values
     else:
-        wv = np.asarray(w, dtype=float)
-        if wv.shape != space.shape:
-            raise ValueError(f"weight shape {wv.shape} does not match space shape {space.shape}")
+        wv = np.asarray(w)
+        on_space = wv.shape == space.shape
+    if not on_space:
+        raise ValueError(f"weight {name} does not live on {where}")
     if np.iscomplexobj(wv) or not np.all(np.isfinite(wv)) or np.any(wv <= 0):
-        raise ValueError("weights must be strictly positive finite reals")
+        raise ValueError(f"weight {name} must be real, finite and strictly positive")
     return np.asarray(wv, dtype=float)
 
 
@@ -188,7 +191,7 @@ def mixed_norm(f: GridFunction, p, q, w=None) -> float:
     q = check_exponent(q)
     g = np.abs(f.values)
     if w is not None:
-        g = g * _weight_values(f.space, w)
+        g = g * _weight_values(f.space, w, "w", "the function's space")
     return float(mixed_norm_values(g, f.space.factor1.masses, f.space.factor2.masses, p, q))
 
 

@@ -62,10 +62,12 @@ VERTEX_CAP = 10**6  # most unit-ball vertices the brute-force oracle enumerates
 # one-slab 12^4 kernel took 8.0 ms instead of 0.007 ms in 3 of 10 fresh
 # processes.
 _SLAB_BYTES = 1 << 20
-# Most bytes of one dense build. The Gabor kernel at N = 64, 64^4 complex
-# values or 256 MiB, fits; past the cap `gabor_frame`, `reproducing_kernel`,
-# `counterexample_kernel` and the lower search's trial batch raise ValueError
-# before they allocate, so the CLI exits 2 instead of running out of memory.
+# Most bytes of one dense build. The Gabor kernel at N = 64 and the copy its
+# `Kernel` makes, 2 * 64^4 complex values or 512 MiB, fit; past the cap
+# `gabor_frame`, `reproducing_kernel`, `mv_weight`, `weight_domination_constant`,
+# `maximal_kernel`, `oscillation`, `counterexample_kernel` and the lower
+# search's trial batch raise ValueError before they allocate, so the CLI
+# exits 2 instead of running out of memory.
 _DENSE_BYTES = 1 << 29
 
 
@@ -402,8 +404,8 @@ def weighted_kernel(K: Kernel, v, w) -> Kernel:
     how weighted operator bounds reduce to unweighted ones.
     """
     _require_dense(K, "weighted_kernel")
-    vv = _weight_values(K.X, v)
-    wv = _weight_values(K.Y, w)
+    vv = _weight_values(K.X, v, "v", "the kernel's target space")
+    wv = _weight_values(K.Y, w, "w", "the kernel's source space")
     vals = K.values * vv[:, :, None, None] / wv[None, None, :, :]
     return Kernel(K.X, K.Y, vals)
 

@@ -1,5 +1,8 @@
+import dataclasses
+import functools
 import re
 import tracemalloc
+import types
 
 import hypothesis.strategies as st
 import numpy as np
@@ -129,25 +132,33 @@ def test_gabor_frame_shifts_are_the_rolled_window():
     np.testing.assert_array_equal(sk.gabor_frame(N, window).vectors, rolled)
 
 
-def test_dense_frame_builds_past_the_cap_are_refused_before_allocating():
+def test_dense_frame_builds_past_the_cap_are_refused_before_allocating(monkeypatch):
     frame = sk.gabor_frame(128, np.ones(128))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=str(128**4 * 16)):
+        # the kernel and the copy its constructor makes
+        with pytest.raises(ValueError, match=str(2 * 128**4 * 16)):
             sk.reproducing_kernel(frame)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    with pytest.raises(ValueError, match=str(1024**3 * 16)):
+    # the vectors, the frame's copy of them and their conjugate
+    with pytest.raises(ValueError, match=str(3 * 1024**3 * 16)):
         sk.gabor_frame(1024, np.ones(1024))
     # a frame that is not a Gabor frame is refused by the same estimate
     X = sk.ProductSpace(sk.counting_space(128), sk.counting_space(128))
     wide = sk.FiniteFrame(X, np.full((128, 128, 1), 1.0 / 128))
     with pytest.raises(ValueError, match="bytes"):
         sk.reproducing_kernel(wide)
-    # the N = 64 kernel stays within the cap
-    sk.coorbit._require_dense_bytes("the N = 64 kernel", 64**4)
+
+    # the N = 64 kernel, 2 * 64^4 complex values with the copy, stays within the cap
+    def built(window):
+        raise AssertionError("past the size check")
+
+    monkeypatch.setattr(sk.coorbit, "_gabor_kernel", built)
+    with pytest.raises(AssertionError, match="past the size check"):
+        sk.reproducing_kernel(sk.gabor_frame(64, np.ones(64)))
 
 
 def _traced_peak(call):
@@ -188,6 +199,75 @@ def test_counterexample_and_trial_batches_past_the_cap_are_refused_before_alloca
             call()
 
     assert _traced_peak(refused) < 2**20
+
+
+@functools.cache
+def _gabor16():
+    """The N = 16 Gabor frame's builds, over 4 x 4 block patches or one full patch."""
+    frame = sk.gabor_frame(16, np.arange(1.0, 17.0))
+    X = frame.space
+    blocks = sk.RectCovering(X, [(range(4 * i, 4 * i + 4), range(4 * j, 4 * j + 4)) for i in range(4) for j in range(4)])
+    v = sk.GridFunction(X, 1.0 + np.arange(256.0).reshape(16, 16))
+    phase = sk.PhaseGrid(X, X, np.exp(2j * np.pi * np.random.default_rng(5).random(X.shape + X.shape)))
+    K = sk.reproducing_kernel(frame)
+    return types.SimpleNamespace(
+        frame=frame, blocks=blocks, full=_full_patch_covering(X), v=v, m=sk.mv_weight(v), K=K, absK=K.abs(), phase=phase
+    )
+
+
+# each dense build of a square kernel over the n = 256 points of the N = 16 Gabor
+# frame, and the bytes it is refused at: float grids of n^2 values, and for the
+# covering kernels bytes per pair of a point and a point of the largest patch (16)
+_DENSE_BUILDS = {
+    "mv_weight": (lambda g: sk.mv_weight(g.v), 3 * 8 * 256**2),
+    "weight_domination_constant": (lambda g: sk.weight_domination_constant(g.v, g.v, g.m), 3 * 8 * 256**2),
+    "maximal_kernel": (lambda g: sk.maximal_kernel(g.K, g.blocks), (3 * 8 * 256 + 16 * 16) * 256),
+    "oscillation": (lambda g: sk.oscillation(g.K, g.blocks), (2 * 8 * 256 + 64 * 16) * 256),
+    "oscillation with a phase grid": (lambda g: sk.oscillation(g.K, g.blocks, g.phase), (2 * 8 * 256 + 64 * 16) * 256),
+    "reproducing_kernel": (lambda g: sk.reproducing_kernel(g.frame), 2 * 16 * 256**2),
+    "gabor_frame": (lambda g: sk.gabor_frame(64, np.arange(1.0, 65.0)), 3 * 16 * 64**3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_BUILDS))
+def test_dense_builds_past_the_cap_are_refused_before_allocating(name, monkeypatch):
+    call, nbytes = _DENSE_BUILDS[name]
+    g = _gabor16()
+    monkeypatch.setattr(operators, "_DENSE_BYTES", 1 << 20)
+
+    def refused():
+        with pytest.raises(ValueError, match=f"needs {nbytes} bytes, over the 1048576-byte cap"):
+            call(g)
+
+    assert _traced_peak(refused) < 2**20
+
+
+_ESTIMATED_BUILDS = {name: call for name, (call, _) in _DENSE_BUILDS.items()} | {
+    "maximal_kernel, one full patch": lambda g: sk.maximal_kernel(g.K, g.full),
+    "oscillation, one full patch": lambda g: sk.oscillation(g.K, g.full),
+    "oscillation with a phase grid, one full patch": lambda g: sk.oscillation(g.K, g.full, g.phase),
+    "oscillation of a real kernel with a phase grid, one full patch": lambda g: sk.oscillation(g.absK, g.full, g.phase),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATED_BUILDS))
+def test_dense_build_estimates_bound_the_traced_peak(name, monkeypatch):
+    """The estimates count the arrays alone. The reproducing kernel's is its two
+    grids exactly, and a few interpreter objects lie beside them; beside the
+    Gabor frame's arrays lie its index space and numpy's einsum buffers in the
+    Parseval check, under 1 MiB whatever N (0.62 MiB at N = 64)."""
+    call = _ESTIMATED_BUILDS[name]
+    slack = {"reproducing_kernel": 2**12, "gabor_frame": 2**20}.get(name, 0)
+    g = _gabor16()
+    call(g)  # warm: a first call also traces lazily built module state
+    peak = _traced_peak(lambda: call(g))
+    monkeypatch.setattr(operators, "_DENSE_BYTES", 0)
+    with pytest.raises(ValueError, match="needs") as refused:
+        call(g)
+    nbytes = int(re.search(r"needs (\d+) bytes", str(refused.value)).group(1))
+    assert peak < nbytes + slack, (peak, nbytes)
+    monkeypatch.setattr(operators, "_DENSE_BYTES", nbytes)
+    call(g)  # at its own estimate a run is allowed
 
 
 @pytest.mark.parametrize(
@@ -285,7 +365,6 @@ def _default_report(N=4):
 def test_coorbit_report_hypotheses_hold():
     frame, cov, u, v, m0, L = _default_report()
     report = sk.coorbit_report(frame, cov, u, v, m0, L)
-    assert report.covering_admissible
     assert report.v_at_least_one
     assert report.m0_symmetric
     assert report.kernel_dominated
@@ -317,6 +396,24 @@ def test_coorbit_report_flags_asymmetric_weight():
     report = sk.coorbit_report(frame, cov, u, v, sk.WeightGrid(m0.X, m0.Y, vals), L)
     assert not report.m0_symmetric
     assert not report.all_pass
+
+
+@pytest.mark.parametrize("flag", ["v_at_least_one", "m0_symmetric", "kernel_dominated"])
+def test_every_coorbit_flag_can_fail(flag):
+    flags = [f.name for f in dataclasses.fields(sk.CoorbitReport) if f.type == "bool"]
+    assert sorted(flags) == ["kernel_dominated", "m0_symmetric", "v_at_least_one"]
+    frame, cov, u, v, m0, L = _default_report()
+    if flag == "v_at_least_one":
+        v = sk.GridFunction(v.space, np.full(v.space.shape, 0.5))
+    elif flag == "m0_symmetric":
+        vals = np.ones(m0.values.shape)
+        vals[0, 0, 1, 0] = 2.0
+        m0 = sk.WeightGrid(m0.X, m0.Y, vals)
+    else:
+        L = sk.Kernel(L.X, L.Y, 0.5 * L.values)  # half the patch-maximal kernel
+    report = sk.coorbit_report(frame, cov, u, v, m0, L)
+    assert getattr(report, flag) is False
+    assert report.all_pass == all(getattr(report, f) for f in flags)
 
 
 def test_coorbit_report_defaults_to_the_patch_maximal_majorant():

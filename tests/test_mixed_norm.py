@@ -292,3 +292,61 @@ def test_lp_norms_match_max_scaled_reference(scale, axis, p):
     assert np.all(got[zero] == 0.0)
     assert np.all(got[hot] == INF)
     np.testing.assert_allclose(got, _max_scaled_reference(V, m, p, axis), rtol=1e-13, atol=0.0)
+
+
+def _weight_entry_points():
+    """Each public function that takes a weight function, keyed by function and weight name.
+
+    Every call takes one weight and fills the others with ones, on the index
+    space of the N = 2 Gabor frame covered by one full patch.
+    """
+    frame = sk.gabor_frame(2, [1.0, 2.0])
+    X = frame.space
+    cov = sk.RectCovering(X, [(list(X.factor1.points), list(X.factor2.points))])
+    ones = sk.GridFunction(X, np.ones(X.shape))
+    K = sk.reproducing_kernel(frame)
+    m = sk.WeightGrid(X, X, np.ones(X.shape + X.shape))
+    L = sk.maximal_kernel(K, cov)
+    return X, {
+        "mixed_norm w": lambda w: sk.mixed_norm(ones, 2, 3, w),
+        "weighted_kernel v": lambda v: sk.weighted_kernel(K, v, ones),
+        "weighted_kernel w": lambda w: sk.weighted_kernel(K, ones, w),
+        "validate_covering u": lambda u: sk.validate_covering(cov, u),
+        "special_linfty_weight u": lambda u: sk.special_linfty_weight(cov, u),
+        "mv_weight v": lambda v: sk.mv_weight(v),
+        "weight_domination_constant v": lambda v: sk.weight_domination_constant(v, ones, m),
+        "weight_domination_constant w": lambda w: sk.weight_domination_constant(ones, w, m),
+        "coorbit_report u": lambda u: sk.coorbit_report(frame, cov, u=u),
+        "coorbit_report v": lambda v: sk.coorbit_report(frame, cov, v=v),
+        "sup_bound_certificate u": lambda u: sk.sup_bound_certificate(L, cov, u, m, 2, 3),
+        "sup_bound_certificate w": lambda w: sk.sup_bound_certificate(L, cov, ones, m, 2, 3, w),
+    }
+
+
+_BAD_WEIGHTS = {"zero": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf, "complex": 1.0 + 1.0j}
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        (entry, bad)
+        for entry in sorted(_weight_entry_points()[1])
+        for bad in sorted(_BAD_WEIGHTS) + ["another space"]
+        if (entry, bad) != ("mv_weight v", "another space")  # m_v lives on v's own space
+    ],
+)
+def test_every_weight_entry_point_refuses_a_bad_weight_by_name(entry, bad):
+    X, calls = _weight_entry_points()
+    call, name = calls[entry], entry.split()[-1]
+    call(sk.GridFunction(X, np.full(X.shape, 2.0)))  # a good weight runs
+    if bad == "another space":
+        weight = sk.GridFunction(sk.ProductSpace(sk.Space([0, 1], [5.0, 7.0]), X.factor2), np.ones(X.shape))
+        message = f"weight {name} does not live on"
+    else:
+        values = np.ones(X.shape, dtype=type(_BAD_WEIGHTS[bad]))
+        values[1, 0] = _BAD_WEIGHTS[bad]
+        weight = sk.GridFunction(X, np.ones(X.shape))
+        weight.values = values  # a GridFunction refuses nan and inf itself: each entry point checks on its own
+        message = f"weight {name} must be real, finite and strictly positive"
+    with pytest.raises(ValueError, match=message):
+        call(weight)
