@@ -113,11 +113,12 @@ class _Inputs:
 def _check(kind: str, name: str, lhs: float, rhs: float, tol: float = 0.0) -> dict:
     """One asserted relation lhs <= rhs ("le"), lhs == rhs ("eq") or lhs < rhs ("lt").
 
-    The tolerance is relative: each relation is loosened by tol * max(1, |rhs|).
+    The tolerance is relative: "le" and "eq" are loosened by tol * max(1, |rhs|).
+    A strict "lt" is a smallness claim and takes no slack at any tolerance.
     """
     lhs, rhs = float(lhs), float(rhs)
     slack = tol * max(1.0, abs(rhs))
-    passed = {"le": lhs <= rhs + slack, "eq": abs(lhs - rhs) <= slack, "lt": lhs < rhs + slack}[kind]
+    passed = {"le": lhs <= rhs + slack, "eq": abs(lhs - rhs) <= slack, "lt": lhs < rhs}[kind]
     return {"name": name, "kind": kind, "lhs": lhs, "rhs": rhs, "tolerance": tol, "pass": passed}
 
 

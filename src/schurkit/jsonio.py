@@ -306,7 +306,7 @@ def _point(p):
 def load_space(obj) -> Space:
     if not isinstance(obj, dict) or "points" not in obj or "masses" not in obj:
         raise ValueError("space JSON needs 'points' and 'masses'")
-    return Space([_point(p) for p in obj["points"]], [float(m) for m in obj["masses"]])
+    return Space([_point(p) for p in obj["points"]], [_json_number(m, "masses are JSON numbers") for m in obj["masses"]])
 
 
 def load_product(obj) -> ProductSpace:
@@ -349,16 +349,20 @@ def load_grid_function(obj) -> GridFunction:
     return GridFunction(load_product(obj["space"]), _complex_array(obj, "function"))
 
 
-def load_kernel(obj) -> Kernel:
+def _target_source(obj, what: str) -> tuple[ProductSpace, ProductSpace]:
     if not isinstance(obj, dict) or "X" not in obj or "Y" not in obj:
-        raise ValueError("kernel JSON needs 'X' and 'Y'")
-    return Kernel(load_product(obj["X"]), load_product(obj["Y"]), _complex_array(obj, "kernel"))
+        raise ValueError(f"{what} JSON needs 'X' and 'Y'")
+    return load_product(obj["X"]), load_product(obj["Y"])
+
+
+def load_kernel(obj) -> Kernel:
+    return Kernel(*_target_source(obj, "kernel"), _complex_array(obj, "kernel"))
 
 
 def load_weight_grid(obj) -> WeightGrid:
     if not isinstance(obj, dict) or obj.get("positive") is not True:
         raise ValueError("weight-grid JSON must set \"positive\": true")
-    return WeightGrid(load_product(obj["X"]), load_product(obj["Y"]), _complex_array(obj, "weight"))
+    return WeightGrid(*_target_source(obj, "weight-grid"), _complex_array(obj, "weight"))
 
 
 def load_phase_grid(obj, X: ProductSpace, Y: ProductSpace) -> PhaseGrid:
@@ -376,18 +380,23 @@ def load_covering(obj, space: ProductSpace) -> RectCovering:
     return RectCovering(space, patches)
 
 
-def _window_number(x) -> float:
+def _json_number(x, rule: str) -> float:
+    """`x` as a float if it is a JSON number (not a string or a boolean), else
+    ValueError stating `rule` and naming `x`."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"window entries are JSON numbers or [re, im] pairs of them, got {x!r}")
+        raise ValueError(f"{rule}, got {x!r}")
     return float(x)
+
+
+_WINDOW_RULE = "window entries are JSON numbers or [re, im] pairs of them"
 
 
 def _window_entry(x) -> complex:
     if isinstance(x, list):
         if len(x) != 2:
             raise ValueError("complex window entries are [re, im] pairs")
-        return complex(_window_number(x[0]), _window_number(x[1]))
-    return complex(_window_number(x), 0.0)
+        return complex(_json_number(x[0], _WINDOW_RULE), _json_number(x[1], _WINDOW_RULE))
+    return complex(_json_number(x, _WINDOW_RULE), 0.0)
 
 
 def load_frame(obj) -> FiniteFrame:

@@ -184,13 +184,14 @@ def submult_weight_constant(tau: WeightGrid, omega: WeightGrid, sigma: WeightGri
 def weight_domination_constant(v: GridFunction, w: GridFunction, m: WeightGrid) -> float:
     """Smallest C with v(x) <= C * w(y) * m(x,y) for all x, y.
 
-    The grid w m and the ratio grid, with a third grid's room for numpy's
-    buffers, are refused with ValueError, before anything is allocated,
-    past the cap on dense builds.
+    The ratio is divided into the grid w m in place. Counted at three such
+    grids, a run past the cap on dense builds is refused with ValueError
+    before anything is allocated.
     """
     vv = _weight_values(m.X, v, "v", "the grid's target space")
     wv = _weight_values(m.Y, w, "w", "the grid's source space")
     nx, ny = m.X.size, m.Y.size
     _require_dense_bytes(f"weight_domination_constant over {nx} x {ny} points", 3 * nx * ny, 8)
-    ratio = vv[:, :, None, None] / (wv[None, None, :, :] * m.values)
+    ratio = wv[None, None, :, :] * m.values
+    np.divide(vv[:, :, None, None], ratio, out=ratio)
     return float(ratio.max())

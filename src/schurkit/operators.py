@@ -51,7 +51,6 @@ __all__ = [
     "weighted_kernel",
     "corner_opnorm",
     "opnorm_lower_search",
-    "VERTEX_CAP",
 ]
 
 VERTEX_CAP = 10**6  # most unit-ball vertices the brute-force oracle enumerates
@@ -434,7 +433,9 @@ def corner_opnorm(K: Kernel, p, q) -> float:
     each y2 is the atom maximizing sum_{x1} mu1 K, so the |X2| vertices so
     chosen suffice; no enumeration of the |Y1|^|Y2| vertices is needed. For
     (inf,1) the vertices are slabs concentrated on a single second-factor
-    point.
+    point. The images' norms are its own sums and maxima, not `lp_norms`, so
+    the `corner_opnorm_equals_c*` checks compare two routes that share no
+    reduction.
     """
     p, q = _corner_exponents(p, q)
     _require_dense(K, "corner_opnorm")
@@ -461,12 +462,13 @@ def corner_opnorm(K: Kernel, p, q) -> float:
         sel = (Kv * mu1[:, None, None, None]).sum(axis=0).argmax(axis=1)  # (x2, y2)
         B = np.moveaxis(Kv * nu2, (2, 3), (0, 1))  # (y1, y2, x1, x2)
         out = B[sel, np.arange(len(nu2))[None, :]].sum(axis=1)  # (x2 vertex, x1, x2)
-        return float(mixed_norm_values(out, mu1, mu2, 1.0, INF).max())
+        # the image's L^{1,inf} norm: mu1-weighted sum over x1, then max over x2
+        return float((out * mu1[:, None]).sum(axis=1).max())
 
     # (inf, 1): slab vertices f_j = 1_{Y1 x {j}} / nu2(j); the nu2 cancels.
     out = np.einsum("abcd,c->dab", Kv, nu1)  # (y2, x1, x2)
-    norms = mixed_norm_values(out, mu1, mu2, INF, 1.0)
-    return float(norms.max())
+    # the image's L^{inf,1} norm: max over x1, then mu2-weighted sum over x2
+    return float((out.max(axis=1) * mu2).sum(axis=1).max())
 
 
 def opnorm_lower_search(K: Kernel, p, q, trials: int = 64, seed: int = 0) -> float:

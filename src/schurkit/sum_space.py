@@ -32,7 +32,6 @@ __all__ = [
     "rectangle_lower_bound",
     "associate_pairing_sup",
     "holder_upper_bound",
-    "RECTANGLE_CAP",
 ]
 
 # Not read by the library. bench/worker.py reads it to count the candidates

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 import schurkit as sk
 from schurkit import cli, jsonio
 from schurkit.cli import run
-from schurkit.jsonio import dump_grid_function, dump_kernel, dumps_json
+from schurkit.jsonio import dump_grid_function, dump_kernel, dumps_json, load_kernel
 from schurkit.operators import VERTEX_CAP
 
 
@@ -44,6 +44,14 @@ def _check(cert, name):
     matches = [c for c in cert["checks"] if c["name"] == name]
     assert matches, f"no check named {name}"
     return matches[0]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5, 1e300])
+def test_a_tolerance_never_loosens_a_strict_check(tol):
+    assert not cli._check("lt", "x", 1.0, 1.0, tol)["pass"]
+    assert not cli._check("lt", "x", float(np.nextafter(1.0, 2.0)), 1.0, tol)["pass"]
+    assert cli._check("lt", "x", float(np.nextafter(1.0, 0.0)), 1.0, tol)["pass"]
+    assert cli._check("le", "x", 1.0 + tol, 1.0, tol)["pass"]  # the non-strict relations keep their slack
 
 
 def test_schur_frozen_constants(tmp_path, capsys):
@@ -198,6 +206,30 @@ def test_im_of_another_shape_exits_2(tmp_path, capsys):
             code, cert, err = _run(capsys, argvs[what](bad))
             assert code == 2 and cert is None, what
             assert f"{what} JSON: 'im' has shape" in err, err
+
+
+@pytest.mark.parametrize("mass", ["0.5", True, None, [1]])
+def test_a_mass_that_is_not_a_json_number_exits_2_naming_it(tmp_path, capsys, mass):
+    def function_file(masses):
+        f = {"points": [0, 1], "masses": masses}
+        return _write(tmp_path / "f.json", json.dumps({"space": {"factor1": f, "factor2": f}, "re": [[1, 2], [3, 4]]}))
+
+    assert run(["norm", "--function", function_file([0.5, 1]), "--p", "1", "--q", "1"]) == 0
+    capsys.readouterr()
+    code, cert, err = _run(capsys, ["norm", "--function", function_file([0.5, mass]), "--p", "1", "--q", "1"])
+    assert code == 2 and cert is None
+    assert f"error: ValueError: masses are JSON numbers, got {mass!r}" in err, err
+
+
+def test_a_weight_grid_without_its_spaces_exits_2(tmp_path, capsys):
+    kfile = _lifted_kernel_file(tmp_path)
+    K = load_kernel(json.loads(open(kfile).read()))
+    weight = dump_kernel(sk.WeightGrid(K.X, K.Y, np.ones(K.values.shape)))
+    for key in ("X", "Y"):
+        wfile = _write(tmp_path / "w.json", {k: v for k, v in weight.items() if k != key})
+        code, cert, err = _run(capsys, ["norm", "--kernel", kfile, "--weight", wfile])
+        assert code == 2 and cert is None
+        assert "error: ValueError: weight-grid JSON needs 'X' and 'Y'" in err, err
 
 
 def test_covering_gap_fails_cleanly(tmp_path, capsys):

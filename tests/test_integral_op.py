@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -232,6 +233,23 @@ def test_corner_matches_constants_and_oracle():
             got = sk.corner_opnorm(K, p, q)
             assert got == pytest.approx(c[name], rel=1e-12)
             assert got == pytest.approx(sk.brute_corner_opnorm(K, p, q), rel=1e-12)
+
+
+def test_corner_opnorm_shares_no_norm_stage_with_the_scan(monkeypatch):
+    # the corner_opnorm_equals_c3/_c4 checks compare it against the scan, whose
+    # norms are `lp_norms`; a wrong `lp_norms` must not reach corner_opnorm
+    rng = np.random.default_rng(23)
+    kernels = [rand_kernel(rng, rand_product(rng, 5), rand_product(rng, 5)) for _ in range(10)]
+    corners = [(1, 1), (INF, INF), (1, INF), (INF, 1)]
+    want = [[sk.corner_opnorm(K, p, q) for p, q in corners] for K in kernels]
+
+    def wrong(V, m, p, axis):
+        return 2.0 * lp_norms(V, m, p, axis) + 1.0
+
+    for module in ("mixed_norm", "operators"):
+        monkeypatch.setattr(importlib.import_module(f"schurkit.{module}"), "lp_norms", wrong)
+    assert sk.schur_constants(kernels[0]).c3 != pytest.approx(want[0][2])  # the patch reaches the scan
+    assert [[sk.corner_opnorm(K, p, q) for p, q in corners] for K in kernels] == want
 
 
 def test_opnorm_lower_search_frozen():

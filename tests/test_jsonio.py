@@ -397,3 +397,19 @@ def test_dumps_json_mixed_types_frozen():
     for bad in (math.nan, [np.float64(math.nan)], {"x": (1, math.nan)}, np.array([1.0, math.nan])):
         with pytest.raises(ValueError, match="NaN"):
             dumps_json(bad)
+
+
+def test_loaders_refuse_masses_that_are_not_json_numbers():
+    for mass in ("0.5", True, False, None):
+        with pytest.raises(ValueError, match=f"masses are JSON numbers, got {mass!r}"):
+            jsonio.load_space({"points": [0, 1], "masses": [0.5, mass]})
+    assert jsonio.load_space({"points": [0, 1], "masses": [0.5, 2]}).masses.tolist() == [0.5, 2.0]
+
+
+def test_weight_grid_loader_needs_both_spaces():
+    X = sk.ProductSpace(sk.counting_space(1), sk.counting_space(1))
+    weight = dump_kernel(sk.WeightGrid(X, X, np.ones((1, 1, 1, 1))))
+    assert jsonio.load_weight_grid(weight).values.tolist() == [[[[1.0]]]]
+    for key in ("X", "Y"):
+        with pytest.raises(ValueError, match="weight-grid JSON needs 'X' and 'Y'"):
+            jsonio.load_weight_grid({k: v for k, v in weight.items() if k != key})
