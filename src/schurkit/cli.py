@@ -1,12 +1,15 @@
 """Batch command-line front end.
 
 Each subcommand loads JSON inputs, runs the corresponding library
-operations, and prints a certificate: the command, digests of every input
-file, the computed quantities, and a list of asserted inequalities with both
-sides, the tolerance, and a pass flag. Exit status is 0 when every
-assertion passes, 1 when one fails, and 2 when the input or the run fails
-(malformed input, a missing file, or any other error). Identical inputs
-and seeds produce byte-identical output.
+operations, and prints a certificate: the command, the version, the
+tolerance, the seed (seeded commands only), digests of every input file in
+load order, the computed quantities, a list of asserted inequalities with
+both sides, the tolerance, and a pass flag, and any dumped kernels. A
+handler returns only its quantities, checks and kernels; `run` assembles
+each certificate around them. Exit status is 0 when every assertion
+passes, 1 when one fails, and 2 when the input or the run fails (malformed
+input, a missing file, or any other error). Identical inputs and seeds
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -97,19 +100,6 @@ def _read_json(path: str) -> tuple:
     return (_Owned(obj) if type(obj) is dict else obj), digest.hexdigest()
 
 
-class _Inputs:
-    """Tracks input files and their digests for the certificate."""
-
-    def __init__(self) -> None:
-        self.digests: dict = {}
-
-    def load(self, name: str, path: str, loader):
-        obj, digest = _read_json(path)
-        obj = loader(obj)
-        self.digests[name] = digest
-        return obj
-
-
 def _check(kind: str, name: str, lhs: float, rhs: float, tol: float = 0.0) -> dict:
     """One asserted relation lhs <= rhs ("le"), lhs == rhs ("eq") or lhs < rhs ("lt").
 
@@ -122,54 +112,32 @@ def _check(kind: str, name: str, lhs: float, rhs: float, tol: float = 0.0) -> di
     return {"name": name, "kind": kind, "lhs": lhs, "rhs": rhs, "tolerance": tol, "pass": passed}
 
 
-def _certificate(command: str, args, inputs: _Inputs, quantities: dict, checks: list, extra: dict | None = None) -> dict:
-    cert = {
-        "command": command,
-        "version": __version__,
-        "tolerance": args.tolerance,
-    }
-    if hasattr(args, "seed"):
-        cert["seed"] = args.seed
-    cert["inputs"] = inputs.digests
-    cert["quantities"] = quantities
-    cert["checks"] = checks
-    if extra:
-        cert.update(extra)
-    return cert
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 
-def _cmd_norm(args):
-    inputs = _Inputs()
+def _cmd_norm(args, load):
     if (args.kernel is None) == (args.function is None):
         raise ValueError("norm needs exactly one of --kernel / --function")
     if args.function is not None and args.weight is not None:
         raise ValueError("--weight applies to --kernel only")
-    quantities: dict = {}
+    if args.kernel is not None and (args.p is not None or args.q is not None):
+        raise ValueError("--p and --q apply to --function only")
     if args.function is not None:
-        f = inputs.load("function", args.function, load_grid_function)
-        p = check_exponent(args.p)
-        q = check_exponent(args.q)
-        quantities["p"] = p
-        quantities["q"] = q
-        quantities["mixed_norm"] = mixed_norm(f, p, q)
-    else:
-        K = inputs.load("kernel", args.kernel, load_kernel)
-        m = inputs.load("weight", args.weight, load_weight_grid) if args.weight else None
-        quantities["norm_A"], quantities["norm_B"] = _norms(K, m)
-    return _certificate("norm", args, inputs, quantities, [])
+        f = load("function", args.function, load_grid_function)
+        p, q = (check_exponent(2 if e is None else e) for e in (args.p, args.q))
+        return {"p": p, "q": q, "mixed_norm": mixed_norm(f, p, q)}, []
+    K = load("kernel", args.kernel, load_kernel)
+    norm_a, norm_b = _norms(K, load("weight", args.weight, load_weight_grid))
+    return {"norm_A": norm_a, "norm_B": norm_b}, []
 
 
 _CORNER_CONSTANT = {(1.0, 1.0): "c2", (INF, INF): "c1", (1.0, INF): "c3", (INF, 1.0): "c4"}
 
 
-def _cmd_schur(args):
-    inputs = _Inputs()
-    K = inputs.load("kernel", args.kernel, load_kernel)
+def _cmd_schur(args, load):
+    K = load("kernel", args.kernel, load_kernel)
     p = check_exponent(args.p)
     q = check_exponent(args.q)
     c, lower = schur_scan(K, p, q, trials=args.trials, seed=args.seed)
@@ -190,25 +158,20 @@ def _cmd_schur(args):
         exact = corner_opnorm(K, p, q)
         quantities["corner_opnorm"] = exact
         checks.append(_check("eq", f"corner_opnorm_equals_{corner}", exact, quantities[corner], args.tolerance))
-    return _certificate("schur", args, inputs, quantities, checks)
+    return quantities, checks
 
 
-def _cmd_compose(args):
-    inputs = _Inputs()
-    K = inputs.load("left", args.left, load_kernel)
-    L = inputs.load("right", args.right, load_kernel)
+def _cmd_compose(args, load):
+    K = load("left", args.left, load_kernel)
+    L = load("right", args.right, load_kernel)
     weight_args = (args.weight_out, args.weight_left, args.weight_right)
     if sum(x is not None for x in weight_args) not in (0, 3):
         raise ValueError("compose weights: give all of --weight-out/--weight-left/--weight-right or none")
     product = compose(K, L)
-    if args.weight_out is not None:
-        tau = inputs.load("weight_out", args.weight_out, load_weight_grid)
-        omega = inputs.load("weight_left", args.weight_left, load_weight_grid)
-        sigma = inputs.load("weight_right", args.weight_right, load_weight_grid)
-        factor = submult_weight_constant(tau, omega, sigma)
-    else:
-        tau = omega = sigma = None
-        factor = 1.0
+    tau = load("weight_out", args.weight_out, load_weight_grid)
+    omega = load("weight_left", args.weight_left, load_weight_grid)
+    sigma = load("weight_right", args.weight_right, load_weight_grid)
+    factor = 1.0 if tau is None else submult_weight_constant(tau, omega, sigma)
     nb_left = norm_B(K, omega)
     nb_right = norm_B(L, sigma)
     nb_product = norm_B(product, tau)
@@ -221,12 +184,11 @@ def _cmd_compose(args):
     checks = [
         _check("le", "product_submultiplicative", nb_product, factor * nb_left * nb_right, args.tolerance)
     ]
-    return _certificate("compose", args, inputs, quantities, checks, {"kernel": dump_kernel(product)})
+    return quantities, checks, {"kernel": dump_kernel(product)}
 
 
-def _cmd_sumnorm(args):
-    inputs = _Inputs()
-    F = inputs.load("function", args.function, load_grid_function)
+def _cmd_sumnorm(args, load):
+    F = load("function", args.function, load_grid_function)
     split = split_four(F)
     rt = split.alpha  # rho_tensor(|F|): the same slicewise profile and final rho
     part_norms = split.corner_norms()
@@ -254,27 +216,22 @@ def _cmd_sumnorm(args):
         "pairing_lower": pairing,
         "sandwich_pass": bool(checks[0]["pass"] and checks[1]["pass"]),
     }
-    return _certificate("sumnorm", args, inputs, quantities, checks)
+    return quantities, checks
 
 
-def _cmd_covering(args):
-    inputs = _Inputs()
-    K = inputs.load("kernel", args.kernel, load_kernel)
+def _cmd_covering(args, load):
+    K = load("kernel", args.kernel, load_kernel)
     if K.X != K.Y:
         raise ValueError("covering analysis needs a square kernel")
-    cov = inputs.load("covering", args.covering, lambda obj: load_covering(obj, K.X))
-    u = inputs.load("u", args.u, load_grid_function) if args.u else None
-    report = validate_covering(cov, u)
+    cov = load("covering", args.covering, lambda obj: load_covering(obj, K.X))
+    report = validate_covering(cov, load("u", args.u, load_grid_function))
     quantities = {key: value for key, value in asdict(report).items() if value is not None}
     checks = [_check("eq", "covering_admissible", report.admissible, 1.0)]
     extra: dict = {}
     if report.admissible:
         weights, _, c0 = covering_weights(cov)
         maximal = maximal_kernel(K, cov)
-        phase = None
-        if args.phase:
-            phase = inputs.load("phase", args.phase, lambda obj: load_phase_grid(obj, K.X, K.Y))
-        osc = oscillation(K, cov, phase)
+        osc = oscillation(K, cov, load("phase", args.phase, lambda obj: load_phase_grid(obj, K.X, K.Y)))
         quantities["patch_weights"] = [float(w) for w in weights]
         quantities["condition_constant"] = c0
         quantities["norm_b_maximal"] = norm_B(maximal)
@@ -284,37 +241,35 @@ def _cmd_covering(args):
         )
         extra["maximal_kernel"] = dump_kernel(maximal)
         extra["oscillation_kernel"] = dump_kernel(osc)
-    return _certificate("covering", args, inputs, quantities, checks, extra)
+    return quantities, checks, extra
 
 
-def _cmd_coorbit(args):
-    inputs = _Inputs()
-    frame = inputs.load("frame", args.frame, load_frame)
+def _cmd_coorbit(args, load):
+    frame = load("frame", args.frame, load_frame)
     space = frame.space
-    cov = inputs.load("covering", args.covering, lambda obj: load_covering(obj, space))
+    cov = load("covering", args.covering, lambda obj: load_covering(obj, space))
     # each weight or majorant not given takes coorbit_report's default
-    u = inputs.load("u", args.u, load_grid_function) if args.u else None
-    v = inputs.load("v", args.v, load_grid_function) if args.v else None
-    m0 = inputs.load("m0", args.m0, load_weight_grid) if args.m0 else None
-    L = inputs.load("majorant", args.majorant, load_kernel) if args.majorant else None
+    u = load("u", args.u, load_grid_function)
+    v = load("v", args.v, load_grid_function)
+    m0 = load("m0", args.m0, load_weight_grid)
+    L = load("majorant", args.majorant, load_kernel)
     report = coorbit_report(frame, cov, u, v, m0, L)
     quantities = asdict(report) | {"margin_pass": report.margin_pass, "all_pass": report.all_pass}
     checks = [
         _check("eq", "hypotheses_pass", report.all_pass, 1.0),
         _check("lt", "margin_lt_one", report.margin, 1.0),
     ]
-    return _certificate("coorbit", args, inputs, quantities, checks)
+    return quantities, checks
 
 
-def _cmd_counterexample(args):
-    inputs = _Inputs()
+def _cmd_counterexample(args, load):
     _, diag = counterexample_kernel(args.N, args.M, trials=args.trials, seed=args.seed)
     checks = [
         _check("eq", "c1_matches_analytic", diag["c1"], diag["c1_analytic"], args.tolerance),
         _check("eq", "c3_matches_analytic", diag["c3"], diag["c3_analytic"], args.tolerance),
         _check("le", "sampled_lower_le_ell2_upper", diag["corner_1inf_lower"], diag["corner_1inf_upper"], args.tolerance),
     ]
-    return _certificate("counterexample", args, inputs, dict(diag), checks)
+    return dict(diag), checks
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kernel")
     sp.add_argument("--function")
     sp.add_argument("--weight", help="weight grid JSON (kernel mode)")
-    sp.add_argument("--p", default="2")
-    sp.add_argument("--q", default="2")
+    sp.add_argument("--p", help="inner exponent (function mode, default 2)")
+    sp.add_argument("--q", help="outer exponent (function mode, default 2)")
     common(sp)
     sp.set_defaults(handler=_cmd_norm)
 
@@ -399,8 +354,22 @@ def run(argv) -> int:
     except SystemExit as exc:  # argparse reports its own diagnostics
         code = exc.code
         return code if isinstance(code, int) else 2
+    digests: dict = {}
+
+    def load(name: str, path, loader):  # the loaded input, None if it is not given
+        if path is None:
+            return None
+        obj, digests[name] = _read_json(path)
+        return loader(obj)
+
     try:
-        cert = args.handler(args)
+        quantities, checks, *kernels = args.handler(args, load)
+        cert = {"command": args.command, "version": __version__, "tolerance": args.tolerance}
+        if hasattr(args, "seed"):
+            cert["seed"] = args.seed
+        cert |= {"inputs": digests, "quantities": quantities, "checks": checks}
+        for dumped in kernels:
+            cert |= dumped
         text = dumps_json(cert)
     except Exception as exc:  # exit 1 means a failed check, so any other failure is 2
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -5,10 +5,11 @@ library objects; dumping inverts it. `loads_json` parses a document, given
 whole or in chunks of text, with the stdlib's C scanner through a window
 that drops the parsed text, so a document read in chunks never exists
 whole. It turns a top-level object's "re" and "im" arrays into float64
-arrays block by block, so their nested lists of Python floats never exist
-whole either. `dumps_json` is a hand-rolled serializer emitting floats
-with 17 significant digits (round-trip exact in double precision) and
-infinities as the string "inf"; it refuses NaN. Byte-identical output for
+arrays in one function, `_scan_floats`, block by block, so their nested
+lists of Python floats never exist whole either. `dumps_json` is a
+hand-rolled serializer emitting floats with 17 significant digits
+(round-trip exact in double precision) and infinities as the string
+"inf"; it refuses NaN. Byte-identical output for
 identical data is part of the contract. Dumped functions and kernels keep
 their values as float64 arrays, which `dumps_json` formats with numpy
 4,096 values at a time (see `_Formatter`), into the text '%.17g' gives:
@@ -76,32 +77,22 @@ def loads_json(text: str | Iterable[str]):
     The document is scanned through a window of its text (see `_Window`):
     chunks are read as the scan needs them and the parsed prefix is
     dropped, so a document given in chunks never exists whole; a `str` is
-    the one-chunk case. "re" and "im" arrays are scanned one element at a
-    time (see `_scan_floats`); every other value goes through the C scanner
-    whole. A document shorter than half a float block (`_BLOCK_CHARS`)
-    that the window holds whole is scanned by one call of the C scanner,
-    and its "re" and "im" lists are packed afterwards: member by member,
-    reading a 789-byte function file took about 6 us longer than the
-    whole-text parse this scanner replaced. That call holds the nested
-    lists of both arrays at once; at a whole block it did so for the
-    164 KB complex 64x64 function file and raised `sumnorm` peak RSS by
-    0.25 MB. Malformed text and a UTF-8 BOM raise `json.JSONDecodeError`
-    with the message `json.loads` gives, a ragged or non-numeric "re"/"im"
-    array raises `ValueError` or `TypeError`, as `np.asarray` would on the
-    parsed lists, and nesting past the interpreter's limit raises
-    `RecursionError`.
+    the one-chunk case. A top-level object is scanned member by member,
+    and its "re" and "im" arrays become float64 arrays in `_scan_floats`
+    alone: in one C scanner call when the window holds the rest of the
+    document and that rest is shorter than a float block (`_BLOCK_CHARS`),
+    otherwise one element at a time. Every other value goes through the C
+    scanner whole. Malformed text and a UTF-8 BOM raise
+    `json.JSONDecodeError` with the message `json.loads` gives, a ragged or
+    non-numeric "re"/"im" array raises `ValueError` or `TypeError`, as
+    `np.asarray` would on the parsed lists, and nesting past the
+    interpreter's limit raises `RecursionError`.
     """
     doc = _Window((text,) if isinstance(text, str) else text)
     if doc.s.startswith("\ufeff"):
         raise doc.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
     idx = doc.skip(0)
-    if doc.done and len(doc.s) < _BLOCK_CHARS // 2:  # the whole document is in the window: one C scanner call
-        obj, end = doc.scan(_value, idx)
-        if type(obj) is dict:
-            for key in _FLOAT_MEMBERS:
-                if type(obj.get(key)) is list:
-                    obj[key] = np.asarray(obj[key], dtype=float)
-    elif doc.s[idx : idx + 1] == "{":
+    if doc.s[idx : idx + 1] == "{":
         obj, end = _scan_object(doc, idx + 1)
         end = doc.skip(end)
     else:
@@ -265,12 +256,19 @@ def _scan_floats(doc: _Window, idx: int) -> tuple:
     """(float64 array, position of the next non-whitespace character) of
     the array whose '[' is at doc.s[idx - 1].
 
-    Elements are scanned one at a time and packed by `np.asarray` into a
+    When the input has ended and the rest of the document, from the '[' on,
+    is shorter than `_BLOCK_CHARS`, the array is one C scanner call and one
+    `np.asarray`: its nested lists span less text than a block. Otherwise
+    elements are scanned one at a time and packed by `np.asarray` into a
     block once the pending ones span `_BLOCK_CHARS` of text, so one block at
-    most exists as nested lists. The result equals `np.asarray` of the whole
-    list: a block that is ragged or non-numeric fails `np.asarray`, and
-    blocks whose elements differ in shape fail `np.concatenate`.
+    most exists as nested lists. Either way the result equals `np.asarray`
+    of the whole list: a block that is ragged or non-numeric fails
+    `np.asarray`, and blocks whose elements differ in shape fail
+    `np.concatenate`.
     """
+    if doc.done and len(doc.s) - idx < _BLOCK_CHARS:  # the whole rest of the document is in the window
+        value, end = doc.scan(_value, idx - 1)
+        return np.asarray(value, dtype=float), end
     blocks, pending, size = [], [], 0
     end = doc.skip(idx)
     if doc.s[end : end + 1] == "]":
@@ -370,12 +368,12 @@ def load_phase_grid(obj, X: ProductSpace, Y: ProductSpace) -> PhaseGrid:
 
 
 def load_covering(obj, space: ProductSpace) -> RectCovering:
-    if not isinstance(obj, dict) or "patches" not in obj:
-        raise ValueError("covering JSON needs 'patches'")
+    if not isinstance(obj, dict) or not isinstance(obj.get("patches"), list):
+        raise ValueError("covering JSON needs a 'patches' list")
     patches = []
-    for entry in obj["patches"]:
-        if "V" not in entry or "W" not in entry:
-            raise ValueError("each patch needs 'V' and 'W'")
+    for i, entry in enumerate(obj["patches"]):
+        if not (isinstance(entry, dict) and isinstance(entry.get("V"), list) and isinstance(entry.get("W"), list)):
+            raise ValueError(f"covering JSON: patch {i} is not an object whose 'V' and 'W' are lists")
         patches.append(([_point(p) for p in entry["V"]], [_point(p) for p in entry["W"]]))
     return RectCovering(space, patches)
 

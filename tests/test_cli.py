@@ -181,6 +181,60 @@ def test_covering_phase_file_sets_the_oscillation_kernel(tmp_path, capsys):
     assert np.array_equal(np.asarray(cert["oscillation_kernel"]["re"]), expected.values)
 
 
+def _envelope_runs(tmp_path):
+    """command -> (argv, [(input name, file)] in load order, dumped kernel keys), one run each."""
+    K, kfile, covfile = _covering_files(tmp_path)
+    ones = dump_kernel(sk.WeightGrid(K.X, K.X, np.ones((2, 2, 2, 2))))
+    w = {name: _write(tmp_path / f"{name}.json", ones) for name in ("weight", "weight_out", "weight_left", "weight_right")}
+    u = _grid_file(tmp_path, [[1, 2], [3, 4]], "u.json")
+    phase = _write(tmp_path / "phase.json", dump_kernel(sk.PhaseGrid(K.X, K.X, np.full((2, 2, 2, 2), 1j))))
+    rfile = _write(tmp_path / "right.json", dump_kernel(sk.Kernel(K.X, K.X, np.ones((2, 2, 2, 2)))))
+    X4 = sk.gabor_frame(4, [1, 2, 3, 4]).space
+    frame = _write(tmp_path / "frame.json", {"type": "gabor", "N": 4, "window": [1, 2, 3, 4]})
+    cov4 = _write(tmp_path / "cov4.json", {"patches": [{"V": [0, 1, 2, 3], "W": [0, 1, 2, 3]}]})
+    u4 = _write(tmp_path / "u4.json", dump_grid_function(sk.GridFunction(X4, np.full(X4.shape, 2.0))))
+    v4 = _write(tmp_path / "v4.json", dump_grid_function(sk.GridFunction(X4, np.full(X4.shape, 3.0))))
+    return {
+        "norm": (["--kernel", kfile, "--weight", w["weight"]], [("kernel", kfile), ("weight", w["weight"])], []),
+        "schur": (["--kernel", kfile, "--p", "1", "--q", "1"], [("kernel", kfile)], []),
+        "compose": (
+            ["--weight-right", w["weight_right"], "--weight-left", w["weight_left"],
+             "--weight-out", w["weight_out"], "--right", rfile, "--left", kfile],
+            [("left", kfile), ("right", rfile)] + [(k, w[k]) for k in ("weight_out", "weight_left", "weight_right")],
+            ["kernel"],
+        ),
+        "sumnorm": (["--function", u], [("function", u)], []),
+        "covering": (
+            ["--phase", phase, "--u", u, "--covering", covfile, "--kernel", kfile],
+            [("kernel", kfile), ("covering", covfile), ("u", u), ("phase", phase)],
+            ["maximal_kernel", "oscillation_kernel"],
+        ),
+        "coorbit": (
+            ["--v", v4, "--u", u4, "--covering", cov4, "--frame", frame],
+            [("frame", frame), ("covering", cov4), ("u", u4), ("v", v4)],
+            [],
+        ),
+        "counterexample": (["--N", "3", "--M", "8"], [], []),
+    }
+
+
+@pytest.mark.parametrize("command", ["norm", "schur", "compose", "sumnorm", "covering", "coorbit", "counterexample"])
+def test_every_certificate_has_one_envelope(tmp_path, capsys, command):
+    # command, version, tolerance, seed (seeded commands only), inputs in load
+    # order (not argv order), quantities, checks, then any dumped kernels
+    argv, inputs, kernels = _envelope_runs(tmp_path)[command]
+    code, cert, err = _run(capsys, [command, *argv, "--tolerance", "0.125"])
+    assert code in (0, 1) and cert is not None, err
+    seeded = command in ("schur", "sumnorm", "counterexample")
+    head = ["command", "version", "tolerance"] + ["seed"] * seeded + ["inputs", "quantities", "checks"]
+    assert list(cert) == head + kernels
+    assert (cert["command"], cert["version"], cert["tolerance"]) == (command, sk.__version__, 0.125)
+    assert cert.get("seed") == (0 if seeded else None)
+    digests = [(name, hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()) for name, path in inputs]
+    assert list(cert["inputs"].items()) == digests
+    assert all(list(c) == ["name", "kind", "lhs", "rhs", "tolerance", "pass"] for c in cert["checks"])
+
+
 def test_im_of_another_shape_exits_2(tmp_path, capsys):
     K, kfile, covfile = _covering_files(tmp_path)
     X = K.X
@@ -230,6 +284,35 @@ def test_a_weight_grid_without_its_spaces_exits_2(tmp_path, capsys):
         code, cert, err = _run(capsys, ["norm", "--kernel", kfile, "--weight", wfile])
         assert code == 2 and cert is None
         assert "error: ValueError: weight-grid JSON needs 'X' and 'Y'" in err, err
+
+
+def test_norm_refuses_exponents_in_kernel_mode(tmp_path, capsys):
+    # a kernel's norm_A and norm_B take no exponents: --p or --q with --kernel is refused, not ignored
+    kfile = _lifted_kernel_file(tmp_path)
+    for flags in (["--p", "1", "--q", "inf"], ["--p", "0.5"], ["--q", "3"]):
+        code, cert, err = _run(capsys, ["norm", "--kernel", kfile, *flags])
+        assert code == 2 and cert is None, flags
+        assert err == "error: ValueError: --p and --q apply to --function only\n", err
+
+
+@pytest.mark.parametrize(
+    "covering, message",
+    [
+        ({"patches": [["V", "W"]]}, "covering JSON: patch 0 is not an object whose 'V' and 'W' are lists"),
+        ({"patches": [{"V": [0], "W": [0, 1]}, {"V": 5, "W": [0]}]},
+         "covering JSON: patch 1 is not an object whose 'V' and 'W' are lists"),
+        ({"patches": [{"V": [0, 1], "W": "01"}]}, "covering JSON: patch 0 is not an object whose 'V' and 'W' are lists"),
+        ({"patches": {"V": [0], "W": [0]}}, "covering JSON needs a 'patches' list"),
+    ],
+    ids=["list-patch", "int-V", "string-W", "object-patches"],
+)
+def test_a_malformed_covering_exits_2_naming_it(tmp_path, capsys, covering, message):
+    X = sk.ProductSpace(sk.counting_space(2), sk.counting_space(2))
+    kfile = _write(tmp_path / "kk.json", dump_kernel(sk.Kernel(X, X, np.ones((2, 2, 2, 2)))))
+    covfile = _write(tmp_path / "cov.json", covering)
+    code, cert, err = _run(capsys, ["covering", "--kernel", kfile, "--covering", covfile])
+    assert code == 2 and cert is None
+    assert err == f"error: ValueError: {message}\n", err
 
 
 def test_covering_gap_fails_cleanly(tmp_path, capsys):

@@ -104,9 +104,11 @@ def _read_file(text, read, monkeypatch, tmp_path):
     return obj
 
 
-# (float block, file read size): a document given whole, with several float
-# blocks per array, or read from a file in chunks that split elements, keys
-# and multi-byte characters
+# (float block, file read size): a document given whole, or read from a file
+# in chunks that split elements, keys and multi-byte characters. At the
+# default block an array the window holds to the end of the document is one
+# C scanner call; blocks of 1 and 12 characters scan (most of) them element
+# by element, several float blocks per array.
 @pytest.mark.parametrize(
     "block, read",
     [(None, None), (1, None), (12, None), (None, 1), (None, 7)],
@@ -121,7 +123,9 @@ def test_reader_matches_json_loads(text, block, read, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "block, read", [(None, None), (1, None), (None, 1), (None, 7)], ids=["None", "1", "read1", "read7"]
+    "block, read",
+    [(None, None), (1, None), (12, None), (None, 1), (None, 7)],
+    ids=["None", "1", "12", "read1", "read7"],
 )
 @pytest.mark.parametrize("text", INVALID)
 def test_reader_refuses_what_json_loads_refuses(text, block, read, monkeypatch, tmp_path, capsys):
@@ -145,6 +149,29 @@ def test_reader_refuses_what_json_loads_refuses(text, block, read, monkeypatch, 
     assert cli.run(["schur", "--kernel", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_an_array_the_window_holds_is_scanned_in_one_call(monkeypatch, tmp_path):
+    # a complex 64 x 64 function file over 128 KiB, in one read chunk: each of
+    # "re" and "im" is one C scanner call, not one per row
+    rng = np.random.default_rng(2)
+    X = sk.ProductSpace(sk.counting_space(64), sk.counting_space(64))
+    values = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    text = dumps_json(dump_grid_function(sk.GridFunction(X, values)))
+    assert 128 * 1024 < len(text) < min(cli._READ_CHUNK, jsonio._BLOCK_CHARS)
+    arrays = []
+
+    def scan_once(s, idx):
+        value, end = scan(s, idx)
+        if isinstance(value, list):
+            arrays.append(len(value))
+        return value, end
+
+    scan = jsonio._scan_once
+    monkeypatch.setattr(jsonio, "_scan_once", scan_once)
+    got = _read_file(text, cli._READ_CHUNK, monkeypatch, tmp_path)
+    assert arrays == [64, 64]  # one list per array; the "space" member scans as one dict
+    _assert_same(got, _reference(text))
 
 
 @pytest.mark.parametrize("read", [None, 1, 7])
@@ -227,7 +254,7 @@ def test_loading_a_complex_kernel_holds_no_float_tree(tmp_path):
     values, mib = K.values.nbytes, 2**20
     tracemalloc.start()
     try:
-        loaded = cli._Inputs().load("kernel", str(path), load_kernel)
+        loaded = load_kernel(cli._read_json(str(path))[0])
         load_peak = tracemalloc.get_traced_memory()[1]
         text = path.read_text()
         tracemalloc.reset_peak()
