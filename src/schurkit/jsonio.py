@@ -4,13 +4,13 @@ Loading validates shapes and positivity and returns the corresponding
 library objects; dumping inverts it. `loads_json` parses a document, given
 whole or in chunks of text, with the stdlib's C scanner through a window
 that drops the parsed text, so a document read in chunks never exists
-whole. It turns a top-level object's "re" and "im" arrays into float64
-arrays in one function, `_scan_floats`, block by block, so their nested
-lists of Python floats never exist whole either. `dumps_json` is a
-hand-rolled serializer emitting floats with 17 significant digits
-(round-trip exact in double precision) and infinities as the string
-"inf"; it refuses NaN. Byte-identical output for
-identical data is part of the contract. Dumped functions and kernels keep
+whole. It turns a top-level object's "re" and "im" arrays, whose entries
+must be JSON numbers, into float64 arrays in one function, `_scan_floats`,
+block by block, so their nested lists of Python floats never exist whole
+either. `dumps_json` is a hand-rolled serializer emitting floats with 17
+significant digits (round-trip exact in double precision) and infinities
+as the string "inf"; it refuses NaN. Byte-identical output for identical
+data is part of the contract. Dumped functions and kernels keep
 their values as float64 arrays, which `dumps_json` formats with numpy
 4,096 values at a time (see `_Formatter`), into the text '%.17g' gives:
 the 17 digits come from a single long double rounding of |x| * 10^(16 - e),
@@ -67,6 +67,8 @@ _FLOATS = object()  # the value `_member` gives a "re"/"im" array, which `_scan_
 _BLOCK_CHARS = 1 << 18  # text of the elements scanned into Python floats before they are packed
 _CUT = len("-Infinit")  # the most of a token a failure cut off by the window can lie before its end
 _UNTERMINATED = "Unterminated string starting at"
+_NUMBERS_RULE = '"re" and "im" entries are JSON numbers'
+_NOT_NUMBERS = '"tfn'  # in strings, true, false, null and Infinity; in no number, nor in NaN
 
 
 def loads_json(text: str | Iterable[str]):
@@ -83,10 +85,12 @@ def loads_json(text: str | Iterable[str]):
     document and that rest is shorter than a float block (`_BLOCK_CHARS`),
     otherwise one element at a time. Every other value goes through the C
     scanner whole. Malformed text and a UTF-8 BOM raise
-    `json.JSONDecodeError` with the message `json.loads` gives, a ragged or
-    non-numeric "re"/"im" array raises `ValueError` or `TypeError`, as
-    `np.asarray` would on the parsed lists, and nesting past the
-    interpreter's limit raises `RecursionError`.
+    `json.JSONDecodeError` with the message `json.loads` gives. A "re"/"im"
+    array holding a string, true, false, null or Infinity raises
+    `ValueError` stating `_NUMBERS_RULE` (NaN is left to the loaders'
+    finiteness checks), a ragged one raises `ValueError` as `np.asarray`
+    would on the parsed lists, and nesting past the interpreter's limit
+    raises `RecursionError`.
     """
     doc = _Window((text,) if isinstance(text, str) else text)
     if doc.s.startswith("\ufeff"):
@@ -262,14 +266,15 @@ def _scan_floats(doc: _Window, idx: int) -> tuple:
     elements are scanned one at a time and packed by `np.asarray` into a
     block once the pending ones span `_BLOCK_CHARS` of text, so one block at
     most exists as nested lists. Either way the result equals `np.asarray`
-    of the whole list: a block that is ragged or non-numeric fails
-    `np.asarray`, and blocks whose elements differ in shape fail
-    `np.concatenate`.
+    of the whole list: a block that is ragged fails `np.asarray`, and blocks
+    whose elements differ in shape fail `np.concatenate`. A block whose text
+    holds a character of `_NOT_NUMBERS` fails before `np.asarray`, so a
+    syntax error later in the array is still reported as one.
     """
     if doc.done and len(doc.s) - idx < _BLOCK_CHARS:  # the whole rest of the document is in the window
         value, end = doc.scan(_value, idx - 1)
-        return np.asarray(value, dtype=float), end
-    blocks, pending, size = [], [], 0
+        return _pack(value, _numbers_only(doc.s, idx - 1, end)), end
+    blocks, pending, size, numbers = [], [], 0, True
     end = doc.skip(idx)
     if doc.s[end : end + 1] == "]":
         return np.empty(0), doc.skip(end + 1)
@@ -280,15 +285,30 @@ def _scan_floats(doc: _Window, idx: int) -> tuple:
         value, end = doc.scan(_value, end)
         pending.append(value)
         size += doc.base + end - start
+        numbers = numbers and _numbers_only(doc.s, start - doc.base, end)
         closed = doc.s[end : end + 1] == "]"
         if closed or size >= _BLOCK_CHARS:
-            blocks.append(np.asarray(pending, dtype=float))
+            blocks.append(_pack(pending, numbers))
             pending, size = [], 0
         if closed:
             return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)), doc.skip(end + 1)
         if doc.s[end : end + 1] != ",":
             raise doc.error("Expecting ',' delimiter", end)
         end += 1
+
+
+def _numbers_only(s: str, start: int, end: int) -> bool:
+    """Whether s[start:end] holds no character of `_NOT_NUMBERS`: one search
+    per character, with no copy of the text."""
+    return all(s.find(c, start, end) < 0 for c in _NOT_NUMBERS)
+
+
+def _pack(values: list, numbers: bool) -> np.ndarray:
+    """`np.asarray(values, dtype=float)` of scanned elements whose text
+    `_numbers_only` passed (`numbers`), else ValueError stating the rule."""
+    if not numbers:
+        raise ValueError(_NUMBERS_RULE)
+    return np.asarray(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +482,7 @@ def _escape(s: str) -> str:
     return s.translate(_ESCAPES)
 
 
-_EMIT_BLOCK = 1 << 12  # values formatted at a time; `_Formatter` holds about 270 bytes a value
+_EMIT_BLOCK = 1 << 12  # values formatted at a time; a block's temporaries peak at about 283 bytes a value (tracemalloc)
 
 # `_Formatter` formats float64 values as '%.17g' does, with numpy. Each value
 # is a row of 64-bit words: its number in the first four (byte columns in
@@ -522,46 +542,33 @@ def _layouts() -> tuple:
 
 class _Formatter:
     """The texts `_format_number` gives the `count` values of a float array
-    of shape `shape`, up to `size` at a time (`_emit_array` passes
-    `_EMIT_BLOCK`, 4,096), in the array's brackets.
+    of shape `shape`, a block at a time (`_emit_array` passes `_EMIT_BLOCK`,
+    4,096, values), in the array's brackets.
 
     A value's row holds its number and, after it, its tail: its closing
     brackets, ", " and the next value's opening brackets, or the array's
     closing brackets after its last value. Bytes a row leaves unused are NUL,
-    and the text keeps the others. The buffers are allocated once per array
-    and reused through `out=`, so a block allocates little but its text.
+    and the text keeps the others.
     """
 
-    def __init__(self, size: int, shape: tuple) -> None:
+    def __init__(self, shape: tuple) -> None:
         self.shape, self.count = shape, math.prod(shape)
         depth = len(shape)
-        words = 4 + -(-2 * depth // 8)  # the longest tail: "]" and "[" per axis but one, and ", "
+        self.words = words = 4 + -(-2 * depth // 8)  # the longest tail: "]" and "[" per axis but one, and ", "
         texts = [("]" * c + ", " + "[" * c).encode() for c in range(depth)] + [b"]" * depth]
         self.tails = np.array(texts, dtype=f"S{8 * (words - 4)}").view(np.uint64).reshape(-1, words - 4)
         self.pow10, self.quad_text, self.trailing_zeros, *tables = _tables()
         self.tables = [t if words == 5 else np.pad(t, ((0, 0), (0, words - 5))) for t in tables]
-        self.rows, self.digits, self.work = np.zeros((3, size, words), dtype=np.uint64)  # digits: the A copy
-        self.layout = np.empty(size, dtype=np.intp)
-        self.flags = np.empty((3, size), dtype=bool)
-        self.p = np.empty((2, size), dtype=np.longdouble)
-        self.quads = np.empty((5, size), dtype=np.intp)
-        self.x = np.empty((2, size), dtype=float)
-        self.ints = np.empty((3, size), dtype=np.int64)
-        self.trailing = np.empty(size, dtype=np.intp)
-        self.chars = np.empty((5, size), dtype=np.uint32)
 
     def text(self, v: np.ndarray, pos: int) -> str:
         """Text of values `v` from flat position `pos` of the array, each
         followed by its tail."""
-        n = len(v)
         rows = self._numbers(v)
         self._tail(pos, rows[:, 4:])
-        if pos + n == self.count:
+        if pos + len(v) == self.count:
             rows[-1, 4:] = self.tails[-1]
         raw = rows.view(np.uint8).reshape(-1)
-        keep = np.not_equal(raw, 0, out=self.digits.view(bool).reshape(-1)[: raw.size])
-        text = np.compress(keep, raw, out=self.work.view(np.uint8).reshape(-1)[: np.count_nonzero(keep)])
-        return str(text, "ascii")
+        return str(raw[raw != 0], "ascii")
 
     def _tail(self, start: int, out: np.ndarray) -> None:
         """Tail words of the values from flat position `start` into `out`,
@@ -590,68 +597,48 @@ class _Formatter:
         refuses, too) and, without a 64-bit long double significand, every
         value.
         """
-        n = len(v)
-        (x, f), (p, tmp), (zero, slow, neg) = self.x[:, :n], self.p[:, :n], self.flags[:, :n]
-        s, (d, hi, lo), trailing = self.layout[:n], self.ints[:, :n], self.trailing[:n]
-        np.abs(v, out=x)
-        np.equal(x, 0, out=zero)
-        np.greater_equal(x, 1e-10, out=slow)
-        slow &= x < 1e42
-        slow |= zero
-        np.logical_not(slow, out=slow)  # so NaN, which compares false, is slow, as are infinities
+        x = np.abs(v, dtype=float)  # a float32 or long double array prints its values as float64s
+        zero = x == 0
+        slow = ~((x >= 1e-10) & (x < 1e42) | zero)  # so NaN, which compares false, is slow, as are infinities
         if not _EXACT:
             slow[:] = True
         x[slow | zero] = 1.0  # placeholders: their digits are not used
-        np.floor(np.log10(x, out=f), out=f)
-        np.subtract(16, f, out=s, casting="unsafe")
-        self._scale(x, s, p, tmp, hi)
+        s = (16 - np.floor(np.log10(x))).astype(np.intp)
+        p = self._scale(x, s)
         off = np.flatnonzero((p < 1e16) | (p >= 1e17))  # log10 was off by one, near a power of ten
         if off.size:
             s[off] += np.where(p[off] < 1e16, 1, -1)
             out = off[np.abs(s[off]) > 27]
             slow[out], s[out] = True, 16
-            part = np.empty((2, off.size), dtype=np.longdouble)
-            self._scale(x[off], s[off], *part, np.empty(off.size, dtype=np.int64))
-            p[off] = part[0]
-        np.add(p, 0.5, out=p)  # exact: the spacing of the long doubles here is at most 2^-7
-        np.copyto(d, p, casting="unsafe")  # truncates
+            p[off] = self._scale(x[off], s[off])
+        p += 0.5  # exact: the spacing of the long doubles here is at most 2^-7
+        d = p.astype(np.int64)  # truncates
         slow |= p == d  # on a half, which '%.17g' rounds to even
         carry = np.flatnonzero(d == 10**17)
         d[carry], s[carry] = 10**16, s[carry] - 1
         d[zero], s[zero] = 0, 16
 
         # digits, four per table lookup: the leading one, then four groups of four
-        quads = self.quads[:, :n]
-        _divmod(d, 10**8, hi, lo)
-        _divmod(lo, 10**4, quads[3], quads[4])
-        _divmod(hi, 10**8, quads[0], lo)
-        _divmod(lo, 10**4, quads[1], quads[2])
-        chars = np.take(self.quad_text, quads, out=self.chars[:, :n], mode="clip")
-        np.take(self.trailing_zeros, quads[4], out=trailing, mode="clip")
+        hi, lo = _divmod(d, 10**8)
+        lead, mid = _divmod(hi, 10**8)
+        quads = (lead, *_divmod(mid, 10**4), *_divmod(lo, 10**4))
+        trailing = np.take(self.trailing_zeros, quads[4], mode="clip")
         more = np.flatnonzero(quads[4] == 0)
         for quad in quads[3:0:-1]:
             trailing[more] += self.trailing_zeros[quad[more]]
             more = more[quad[more] == 0]
-        a, b, rows = self.digits[:n], self.work[:n], self.rows[:n]
-        a.fill(0)
-        for k in range(5):
-            a.view(np.uint32)[:, k + 1] = chars[k]  # bytes 4 to 23: digit j at 7 + j
-        layout = np.subtract(16 - _E_MIN, s, out=s)  # e - _E_MIN
-        layout *= 17
-        layout += 16
-        layout -= trailing  # + last
+        a = np.zeros((len(v), self.words), dtype=np.uint64)  # the A copy of the digits
+        a.view(np.uint32)[:, 1:6] = np.take(self.quad_text, quads, mode="clip").T  # bytes 4 to 23: digit j at 7 + j
+        b = np.roll(a.view(np.uint8), 1).view(np.uint64)  # the B copy, one byte further on
+        layout = (16 - _E_MIN - s) * 17 + 16 - trailing  # (e - _E_MIN) * 17 + last
 
         keep_a, keep_b, const = self.tables
-        b.view(np.uint8).reshape(-1)[1:] = a.view(np.uint8).reshape(-1)[:-1]  # the B copy
-        b.view(np.uint8)[0, 0] = 0
-        np.take(keep_a, layout, axis=0, out=rows, mode="clip")
-        np.bitwise_and(rows, a, out=rows)
-        np.take(keep_b, layout, axis=0, out=a, mode="clip")
-        np.bitwise_and(b, a, out=b)
-        np.bitwise_or(rows, b, out=rows)
-        np.take(const, layout, axis=0, out=a, mode="clip")
-        np.bitwise_or(rows, a, out=rows)
-        np.copyto(rows.view(np.uint8)[:, 0], ord("-"), where=np.signbit(v, out=neg))
+        rows = np.take(keep_a, layout, axis=0, mode="clip")
+        rows &= a
+        b &= np.take(keep_b, layout, axis=0, mode="clip")
+        rows |= b
+        rows |= np.take(const, layout, axis=0, mode="clip")
+        np.copyto(rows.view(np.uint8)[:, 0], ord("-"), where=np.signbit(v))
 
         idx = np.flatnonzero(slow)
         if idx.size:
@@ -659,21 +646,21 @@ class _Formatter:
             rows[idx, :4] = texts.view(np.uint64).reshape(-1, 4)
         return rows
 
-    def _scale(self, x: np.ndarray, s: np.ndarray, out: np.ndarray, tmp: np.ndarray, mag: np.ndarray) -> None:
-        """out = x * 10^s in long double, each product rounded once; |s| <= 27."""
-        np.take(self.pow10, np.abs(s, out=mag), out=tmp, mode="clip")
-        np.multiply(x, tmp, out=out)
+    def _scale(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """x * 10^s in long double, each product rounded once; |s| <= 27."""
+        tens = np.take(self.pow10, np.abs(s), mode="clip")
+        p = x * tens
         big = np.flatnonzero(s < 0)
         if big.size:
-            out[big] = x[big] / tmp[big]
+            p[big] = x[big] / tens[big]
+        return p
 
 
-def _divmod(x: np.ndarray, divisor: int, q: np.ndarray, r: np.ndarray) -> None:
-    """q, r = divmod(x, divisor), into arrays other than x: numpy divides
-    by a constant quickly, but takes remainders slowly."""
-    np.floor_divide(x, divisor, out=q)
-    np.multiply(q, -divisor, out=r)
-    r += x
+def _divmod(x: np.ndarray, divisor: int) -> tuple:
+    """divmod(x, divisor): numpy divides by a constant quickly, but takes
+    remainders slowly."""
+    q = x // divisor
+    return q, x - q * divisor
 
 
 def _emit_array(a: np.ndarray, pieces: list) -> None:
@@ -683,12 +670,11 @@ def _emit_array(a: np.ndarray, pieces: list) -> None:
     last block shorter, and each block's text is a piece of its own: only one
     block exists as bytes, and no piece holds the text of the whole array.
     """
-    block = min(_EMIT_BLOCK, a.size)
-    fmt = _Formatter(block, a.shape)
+    fmt = _Formatter(a.shape)
     flat = a.reshape(-1)
     pieces.append("[" * a.ndim)
-    for lo in range(0, a.size, block):
-        pieces.append(fmt.text(flat[lo : lo + block], lo))
+    for lo in range(0, a.size, _EMIT_BLOCK):
+        pieces.append(fmt.text(flat[lo : lo + _EMIT_BLOCK], lo))
 
 
 def _emit_dict(obj: dict, indent: int, pieces: list) -> None:

@@ -97,7 +97,9 @@ class ProductSpace:
     """Ordered pair of factor spaces with the product measure.
 
     The mass of a point pair (p, q) is mass(p) * mass(q); `mass_grid` holds
-    the full |factor1| x |factor2| table of these products.
+    the full |factor1| x |factor2| table of these products, each of which
+    must be positive and finite in float64: a product that underflows to 0
+    or overflows to inf is refused.
     """
 
     __slots__ = ("factor1", "factor2", "_grid")
@@ -107,7 +109,10 @@ class ProductSpace:
             raise TypeError("ProductSpace factors must be Space instances")
         self.factor1 = factor1
         self.factor2 = factor2
-        grid = np.multiply.outer(factor1.masses, factor2.masses)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            grid = np.multiply.outer(factor1.masses, factor2.masses)
+        if not (grid.min() > 0.0 and grid.max() < np.inf):
+            raise ValueError("product masses mass(p) * mass(q) must be positive and finite in float64")
         grid.setflags(write=False)
         self._grid = grid
 

@@ -275,6 +275,36 @@ def test_a_mass_that_is_not_a_json_number_exits_2_naming_it(tmp_path, capsys, ma
     assert f"error: ValueError: masses are JSON numbers, got {mass!r}" in err, err
 
 
+_NUMBERS_RULE = '"re" and "im" entries are JSON numbers'
+
+
+@pytest.mark.parametrize("entry, message", [('"1.5"', _NUMBERS_RULE), ("true", _NUMBERS_RULE), ("null", _NUMBERS_RULE),
+                                            ("-Infinity", _NUMBERS_RULE), ("NaN", "kernel values must be finite")])
+def test_kernel_entries_that_are_not_json_numbers_exit_2_naming_the_rule(tmp_path, capsys, entry, message):
+    # "1.5" and true once loaded as 1.5 and 1.0; NaN parses and meets the finiteness check
+    good = open(_lifted_kernel_file(tmp_path)).read()
+    bad = good.replace('"re": [[[[1', f'"re": [[[[{entry}', 1)
+    assert bad != good
+    code, cert, err = _run(capsys, ["norm", "--kernel", _write(tmp_path / "bad.json", bad)])
+    assert code == 2 and cert is None
+    assert f"error: ValueError: {message}" in err, err
+
+
+@pytest.mark.parametrize("command, mass", [("schur", 1e-200), ("schur", 1e200), ("sumnorm", 1e-200), ("sumnorm", 1e200)])
+def test_product_masses_outside_the_float_range_exit_2(tmp_path, capsys, command, mass):
+    # 1e-200 once gave 0/0 and a NaN refused at output, 1e200 infinite bounds or a ZeroDivisionError
+    f = {"points": [0, 1], "masses": [mass, mass]}
+    space = {"factor1": f, "factor2": f}
+    if command == "schur":
+        path = _write(tmp_path / "k.json", {"X": space, "Y": space, "re": np.ones((2, 2, 2, 2))})
+        argv = ["schur", "--kernel", path, "--p", "1", "--q", "1"]
+    else:
+        argv = ["sumnorm", "--function", _write(tmp_path / "f.json", {"space": space, "re": [[1.0, 2.0], [3.0, 4.0]]})]
+    code, cert, err = _run(capsys, argv)
+    assert code == 2 and cert is None
+    assert "error: ValueError: product masses" in err, err
+
+
 def test_a_weight_grid_without_its_spaces_exits_2(tmp_path, capsys):
     kfile = _lifted_kernel_file(tmp_path)
     K = load_kernel(json.loads(open(kfile).read()))
@@ -577,6 +607,26 @@ def test_array_emit_holds_the_text_about_twice():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * len(text) + 32 * jsonio._EMIT_BLOCK
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+def test_array_emit_of_other_float_dtypes_prints_their_float64_values(dtype):
+    # tenths in long double carry bits that float64 rounds away
+    vals = np.arange(1, 16, dtype=dtype).reshape(3, 5) / dtype(10)
+    assert dumps_json(vals) == dumps_json(vals.astype(float))
+
+
+def test_emitting_a_64_by_64_array_peaks_under_1_5_mib():
+    # one block: its temporaries, its text and the joined copy
+    vals = np.random.default_rng(6).standard_normal((64, 64))
+    dumps_json(vals)  # builds the tables once
+    tracemalloc.start()
+    try:
+        dumps_json(vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_array_emit_holds_one_subarray_text_per_piece():

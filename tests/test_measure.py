@@ -126,3 +126,12 @@ def test_build_space_roundtrip():
     sp = sk.build_space(["a", "b"], [1.5, 2.0])
     assert sp.points == ("a", "b")
     np.testing.assert_allclose(sp.masses, [1.5, 2.0])
+
+
+@pytest.mark.parametrize("mass", [1e-200, 1e200])
+def test_product_masses_must_stay_in_the_float_range(mass):
+    tiny_or_huge = sk.Space([0, 1], [mass, 1.0])
+    with pytest.raises(ValueError, match="product masses"):
+        sk.ProductSpace(tiny_or_huge, tiny_or_huge)
+    sk.ProductSpace(tiny_or_huge, sk.Space([0], [1.0]))  # each product is the mass itself
+    sk.ProductSpace(sk.Space([0], [1e-160]), sk.Space([0], [1e-160]))  # a subnormal product is positive
