@@ -6,10 +6,14 @@ vectors as functions on the index space, the reproducing kernel is the
 orthogonal projection onto the transform's range, and `coorbit_report`
 evaluates every hypothesis needed for the associated function spaces to be
 well defined and discretizable. A Gabor frame's kernel is a phase times its
-window's N x N ambiguity grid, built with one inverse FFT and one gather;
+window's N x N ambiguity grid W, built with one inverse FFT and one gather;
 any other frame's is the N^5 inner products of its vectors, the oracle for
-the closed form. Dense frame and kernel builds, and the counterexample's
-factors, past `operators._DENSE_BYTES` are refused before they allocate.
+the closed form. Every number `coorbit_report` takes from the kernel depends
+on its modulus alone, and it reads only that: for a Gabor frame |W| copied
+into the N^4 real grid, with no complex kernel built, and its m_v-weighted
+norm is taken one slab at a time, with no dense m_v grid. Dense frame and
+kernel builds, and the counterexample's factors, past
+`operators._DENSE_BYTES` are refused before they allocate.
 `counterexample_kernel` builds the truncated oscillating kernel showing the
 third Schur constant can blow up while the operator norm stays bounded.
 Its entries are a product of three small factors,
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverings import RectCovering, maximal_kernel, special_linfty_weight, validate_covering
-from .kernel_algebra import WeightGrid, mv_weight, norm_A, norm_B
+from .kernel_algebra import WeightGrid, _mv_weighted, norm_A, norm_B
 from .measure import ProductSpace, Space, counting_space
 from .mixed_norm import INF, GridFunction, _weight_values, mixed_norm, mixed_norm_values
 from .operators import Kernel, SchurConstants, SlabKernel, _draw_trials, _require_dense, _require_dense_bytes
@@ -69,8 +73,20 @@ class FiniteFrame:
             raise ValueError(f"frame operator deviates from identity by {defect:.3e}")
 
     def parseval_defect(self) -> float:
-        S = np.einsum("ab,abi,abj->ij", self.space.mass_grid, self.vectors, self.vectors.conj())
-        return float(np.abs(S - np.eye(self.dim)).max())
+        """Largest entry of |S - I| for the frame operator S = sum_x mu(x) psi_x psi_x^*.
+
+        With psi = x + iy, S is read off the real Gram grid G of the
+        interleaved (x, y) view of the vectors, one two-operand `einsum`
+        (no BLAS call): Re S = G[x, x] + G[y, y] and Im S = G[y, x] - G[x, y].
+        Unit masses weight nothing, so a frame over counting measures builds
+        no copy of its vectors.
+        """
+        d = self.dim
+        real = self.vectors.reshape(-1, d).view(float)  # (point, 2d): x_i, y_i interleaved
+        mass = self.space.mass_grid.reshape(-1, 1)
+        weighted = real if np.all(mass == 1.0) else real * mass
+        G = np.einsum("ki,kj->ij", weighted, real).reshape(d, 2, d, 2)
+        return float(np.hypot(G[:, 0, :, 0] + G[:, 1, :, 1] - np.eye(d), G[:, 1, :, 0] - G[:, 0, :, 1]).max())
 
     def vector_norms(self) -> np.ndarray:
         """Euclidean norm of each frame vector, as a grid over the index space."""
@@ -98,13 +114,13 @@ def gabor_frame(N: int, window) -> FiniteFrame:
     The window is unit-normalized; the frame vector at (a, b) is the window
     translated by a, modulated by frequency b, and scaled by 1/sqrt(N). The
     resulting family is a Parseval frame for C^N (each vector has norm
-    1/sqrt(N)). Its N^3 complex values, the frame's copy of them and their
-    conjugate in the Parseval check are refused with ValueError, before
-    anything is allocated, past the cap on dense builds.
+    1/sqrt(N)). Its N^3 complex values and the frame's copy of them are
+    refused with ValueError, before anything is allocated, past the cap on
+    dense builds; the Parseval check reads the copy in place.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    _require_dense_bytes(f"a Gabor frame of N = {N}", 3 * int(N) ** 3)
+    _require_dense_bytes(f"a Gabor frame of N = {N}", 2 * int(N) ** 3)
     g = np.asarray(window, dtype=complex)
     if g.shape != (N,):
         raise ValueError(f"window must have length {N}")
@@ -129,24 +145,48 @@ def voice_transform(frame: FiniteFrame, f) -> GridFunction:
     return GridFunction(frame.space, vals)
 
 
+def _ambiguity(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lag grid diff[i, j] = (j - i) mod N and the ambiguity grid W of the unit window g.
+
+    W[alpha, beta] = (1/N) sum_s g((s - alpha) mod N) conj g(s) exp(2 pi i beta s / N),
+    an inverse FFT along s: O(N^2 log N) work and no BLAS call.
+    """
+    N = len(g)
+    n = np.arange(N)
+    diff = (n[None, :] - n[:, None]) % N
+    return diff, np.fft.ifft(g[diff] * g.conj(), axis=1)  # (alpha, beta)
+
+
 def _gabor_kernel(g: np.ndarray) -> np.ndarray:
     """<psi_(c,d), psi_(a,b)> of the Gabor frame of the unit window g, from g's ambiguity grid.
 
     With alpha = (c - a) mod N and beta = (d - b) mod N, substituting
     s = t - a in the inner product gives
-    K[a, b, c, d] = exp(2 pi i a beta / N) W[alpha, beta], where
-    W[alpha, beta] = (1/N) sum_s g((s - alpha) mod N) conj g(s) exp(2 pi i beta s / N)
-    is an inverse FFT along s. That is O(N^2 log N) work for W and one
-    gather for the N^4 entries, against O(N^5) for the frame vectors'
-    inner products, and no BLAS call.
+    K[a, b, c, d] = exp(2 pi i a beta / N) W[alpha, beta], W from `_ambiguity`.
+    That is one gather for the N^4 entries, against O(N^5) for the frame
+    vectors' inner products, and no BLAS call.
     """
     N = len(g)
     n = np.arange(N)
-    diff = (n[None, :] - n[:, None]) % N  # diff[i, j] = (j - i) mod N
-    W = np.fft.ifft(g[diff] * g.conj(), axis=1)  # (alpha, beta)
+    diff, W = _ambiguity(g)
     roots = np.exp(2j * np.pi * n / N)
     T = roots[(n[:, None] * n) % N][:, None, :] * W  # (a, alpha, beta)
     return T[n[:, None, None, None], diff[:, None, :, None], diff[None, :, None, :]]
+
+
+def _gabor_modulus(g: np.ndarray) -> np.ndarray:
+    """|K| of `_gabor_kernel(g)` with no complex N^4 array: |K[a, b, c, d]| = |W[(c - a) mod N, (d - b) mod N]|.
+
+    The phase has modulus 1, so the modulus is |W| rolled by (a, b) for each
+    target point (a, b). Tiled 2 x 2, |W| holds every roll as an N x N
+    window: the window at (N - a, N - b) is the roll by (a, b), so the N^4
+    entries are one strided copy of N^2 floats. Each is |W| rounded once,
+    where |exp(i theta) W| also rounds the phase and the product.
+    """
+    N = len(g)
+    tiled = np.tile(np.abs(_ambiguity(g)[1]), (2, 2))
+    windows = np.lib.stride_tricks.sliding_window_view(tiled, (N, N))  # (N + 1, N + 1, N, N)
+    return np.ascontiguousarray(windows[N:0:-1, N:0:-1])
 
 
 def reproducing_kernel(frame: FiniteFrame) -> Kernel:
@@ -163,6 +203,26 @@ def reproducing_kernel(frame: FiniteFrame) -> Kernel:
         vals = _gabor_kernel(frame.window)
     else:
         vals = np.einsum("cdt,abt->abcd", frame.vectors, frame.vectors.conj())
+    return Kernel(frame.space, frame.space, vals)
+
+
+def _modulus_kernel(frame: FiniteFrame) -> Kernel:
+    """|K| for K = `reproducing_kernel(frame)`, as a real `Kernel`.
+
+    A frame from `gabor_frame` gets `_gabor_modulus`: its n^2 floats and the
+    `Kernel`'s copy of them are refused with ValueError, before anything is
+    allocated, past the cap on dense builds. Any other frame takes the
+    modulus of its vectors' inner products, bitwise that of
+    `reproducing_kernel(frame)`, and is refused from 3 n^2 floats: the
+    complex products and their modulus, then the modulus and its copy.
+    """
+    n = frame.space.size
+    gabor = isinstance(frame, _GaborFrame)
+    _require_dense_bytes(f"the modulus of a reproducing kernel over {n} index points", (2 if gabor else 3) * n * n, 8)
+    if gabor:
+        vals = _gabor_modulus(frame.window)
+    else:
+        vals = np.abs(np.einsum("cdt,abt->abcd", frame.vectors, frame.vectors.conj()))
     return Kernel(frame.space, frame.space, vals)
 
 
@@ -224,7 +284,12 @@ def coorbit_report(
     hypothesis raises when it fails: those failures land in the report as
     False flags or large constants. The margin is the
     discretization quantity computed from the stored structured norms of the
-    kernel and the majorant L (both weighted by m0). The defaults:
+    kernel and the majorant L (both weighted by m0).
+
+    The kernel is read only through its modulus A = |K| (`_modulus_kernel`):
+    norm_b_kpsi is `norm_B(A, m0)`, the default majorant
+    `maximal_kernel(A, cov)`, and norm_a_mv `norm_A` of m_v A built one slab
+    at a time, bitwise `norm_A(A, mv_weight(v))`. The defaults:
 
     - u = None takes u = 1;
     - v = None takes v = max(|psi_x|, u / w^c), the least v whose
@@ -242,23 +307,22 @@ def coorbit_report(
         _require_dense(L, "coorbit_report")
         if L.X != space or L.Y != space:
             raise ValueError("majorant L must be square over the frame's index space")
-    if v is not None:
-        _weight_values(space, v, "v", "the frame's index space")
+    vv = None if v is None else _weight_values(space, v, "v", "the frame's index space")
     if u is None:
         u = GridFunction(space, np.ones(space.shape))
     report = validate_covering(cov, u)
-    K = reproducing_kernel(frame)
-    M = maximal_kernel(K, cov)
+    A = _modulus_kernel(frame)
+    M = maximal_kernel(A, cov)
     target = np.maximum(frame.vector_norms(), special_linfty_weight(cov, u).values)
-    if v is None:
-        v = GridFunction(space, target)
+    if vv is None:
+        vv = target
 
-    norm_a_mv = norm_A(K, mv_weight(v))
-    norm_b_kpsi = norm_B(K, m0)
+    norm_a_mv = norm_A(_mv_weighted(A, vv))
+    norm_b_kpsi = norm_B(A, m0)
     norm_b_majorant = norm_B(M if L is None else L, m0)
 
-    v_dom = float((target / v.values).max())
-    v_ok = bool(np.all(v.values >= 1.0 - 1e-12))
+    v_dom = float((target / vv).max())
+    v_ok = bool(np.all(vv >= 1.0 - 1e-12))
 
     if m0 is None:
         umin = u.values.min()

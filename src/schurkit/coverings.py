@@ -221,7 +221,8 @@ def oscillation(K: Kernel, cov: RectCovering, phase: PhaseGrid | None = None) ->
     """Phase-corrected variation osc(x, y) = max over z in U(y) of |K(x,y) - phase(y,z) K(x,z)|.
 
     The patches act on the *second* argument here. With the default phase 1
-    and singleton patches the oscillation vanishes identically. The result
+    and singleton patches the oscillation vanishes identically; with no
+    phase grid each unordered pair of patch points is taken once. The result
     and the `Kernel`'s copy of it, and per patch the kernel's columns, the
     phased column, their difference and its modulus, are refused with
     ValueError, before anything is allocated, past the cap on dense builds.
@@ -232,17 +233,26 @@ def oscillation(K: Kernel, cov: RectCovering, phase: PhaseGrid | None = None) ->
         raise ValueError("phase grid must be square over the covered space")
     _require_patch_bytes("oscillation", cov, 2, 64)
     out = np.zeros(K.X.shape + K.Y.shape)
+    # indexed by the second argument first, so a patch's columns are rows of n1 n2 values
+    out_by_y, K_by_y = out.transpose(2, 3, 0, 1), K.values.transpose(2, 3, 0, 1)
     for j in range(len(cov)):
         y1, y2 = np.nonzero(cov.product_masks[j])
-        Ky = K.values[:, :, y1, y2]  # (n1, n2, t)
-        patch_osc = out[:, :, y1, y2]
-        # the max over z runs one patch point at a time: no (n1, n2, t, t) cube
-        for z in range(y1.size):
-            Kz = Ky[:, :, z, None]
-            if phase is not None:
-                Kz = phase.values[y1, y2, y1[z], y2[z]] * Kz
-            np.maximum(patch_osc, np.abs(Ky - Kz), out=patch_osc)
-        out[:, :, y1, y2] = patch_osc
+        Ky = K_by_y[y1, y2]  # (t, n1, n2): K(., y) for the patch's points y
+        patch_osc = out_by_y[y1, y2]
+        if phase is None:
+            # rounded subtraction is antisymmetric, so |K(x,y) - K(x,z)| is bitwise
+            # symmetric in (y, z): the pairs at offset z - y = k serve both points,
+            # and z = y adds 0, so each unordered pair is taken once
+            for k in range(1, y1.size):
+                diff = np.abs(Ky[k:] - Ky[:-k])
+                np.maximum(patch_osc[k:], diff, out=patch_osc[k:])
+                np.maximum(patch_osc[:-k], diff, out=patch_osc[:-k])
+        else:
+            # the max over z runs one patch point at a time: no (t, t, n1, n2) cube
+            for z in range(y1.size):
+                phased = phase.values[y1, y2, y1[z], y2[z]][:, None, None] * Ky[z]
+                np.maximum(patch_osc, np.abs(Ky - phased), out=patch_osc)
+        out_by_y[y1, y2] = patch_osc
     return Kernel(K.X, K.Y, out)
 
 

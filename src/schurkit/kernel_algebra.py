@@ -17,7 +17,7 @@ import numpy as np
 
 from .measure import ProductSpace, Space, counting_space, singleton_space
 from .mixed_norm import GridFunction, _weight_values
-from .operators import Kernel, _require_dense, _require_dense_bytes, _scan
+from .operators import Kernel, SlabKernel, _require_dense, _require_dense_bytes, _scan
 
 __all__ = [
     "WeightGrid",
@@ -144,6 +144,26 @@ def mv_weight(v: GridFunction) -> WeightGrid:
     r = vv[:, :, None, None] / vv[None, None, :, :]
     r = np.maximum(r, r.transpose(2, 3, 0, 1))
     return WeightGrid(v.space, v.space, r)
+
+
+def _mv_weighted(A: Kernel, vv: np.ndarray) -> SlabKernel:
+    """m_v A for a kernel A that holds a modulus, built one slab at a time.
+
+    m_v is the ratio weight of the weight values vv. Each slab is
+    `mv_weight`'s ratios for that slab, from the same divisions and maximum,
+    times A's slab, which is its own modulus (real, nonnegative, no -0.0),
+    so `norm_A` of the result equals `norm_A(A, mv_weight(v))` bit for bit,
+    and no dense m_v grid is built.
+    """
+
+    def build_slab(sl):
+        vs = vv[:, sl, None, None]
+        r = vs / vv
+        np.maximum(r, vv / vs, out=r)
+        r *= A.values[:, sl]
+        return r
+
+    return SlabKernel(A.X, A.Y, float, build_slab)
 
 
 def lift_plain_kernel(a, X1: Space | None = None, Y1: Space | None = None) -> Kernel:

@@ -63,7 +63,8 @@ VERTEX_CAP = 10**6  # most unit-ball vertices the brute-force oracle enumerates
 _SLAB_BYTES = 1 << 20
 # Most bytes of one dense build. The Gabor kernel at N = 64 and the copy its
 # `Kernel` makes, 2 * 64^4 complex values or 512 MiB, fit; past the cap
-# `gabor_frame`, `reproducing_kernel`, `mv_weight`, `weight_domination_constant`,
+# `gabor_frame`, `reproducing_kernel`, the kernel modulus `coorbit_report`
+# reads, `mv_weight`, `weight_domination_constant`,
 # `maximal_kernel`, `oscillation`, `counterexample_kernel` and the lower
 # search's trial batch raise ValueError before they allocate, so the CLI
 # exits 2 instead of running out of memory.

@@ -446,6 +446,9 @@ def test_runs_past_the_cap_exit_2_naming_the_bytes(tmp_path, capsys, monkeypatch
     framefile = _write(tmp_path / "gabor16.json", {"type": "gabor", "N": 16, "window": list(range(1, 17))})
     blocks = [{"V": list(range(4 * i, 4 * i + 4)), "W": list(range(4 * j, 4 * j + 4))} for i in range(4) for j in range(4)]
     covfile = _write(tmp_path / "blocks16.json", {"patches": blocks})
+    frame32 = _write(tmp_path / "gabor32.json", {"type": "gabor", "N": 32, "window": list(range(1, 33))})
+    blocks32 = [{"V": list(range(8 * i, 8 * i + 8)), "W": list(range(8 * j, 8 * j + 8))} for i in range(4) for j in range(4)]
+    cov32 = _write(tmp_path / "blocks32.json", {"patches": blocks32})
     K = sk.reproducing_kernel(sk.gabor_frame(16, np.arange(1.0, 17.0))).abs()
     k16file = _write(tmp_path / "k16.json", dump_kernel(K))
     monkeypatch.setattr(sk.operators, "_DENSE_BYTES", 1 << 20)
@@ -453,7 +456,9 @@ def test_runs_past_the_cap_exit_2_naming_the_bytes(tmp_path, capsys, monkeypatch
         (["counterexample", "--N", "64", "--M", "64"], 9 * 129 * 193 * 16),  # (6 + 3) w (w + M) complex values
         (["counterexample", "--N", "4", "--M", "8", "--trials", "1000000"], (6 + 3 * (10**6 - 81)) * 9 * 17 * 16),
         (["schur", "--kernel", kfile, "--trials", "1000000"], None),
-        (["coorbit", "--frame", framefile, "--covering", covfile], 2 * 256**2 * 16),  # the kernel and its copy
+        (["coorbit", "--frame", frame32, "--covering", cov32], 2 * 1024**2 * 8),  # the kernel's modulus and its copy
+        # at N = 16 the modulus and its copy fit (exactly 2^20 bytes); the patch-maximal kernel does not
+        (["coorbit", "--frame", framefile, "--covering", covfile], (3 * 8 * 256 + 16 * 16) * 256),
         (["covering", "--kernel", k16file, "--covering", covfile], (3 * 8 * 256 + 16 * 16) * 256),  # maximal_kernel
     ]:
         code, cert, err = _run(capsys, argv)

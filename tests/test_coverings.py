@@ -1,7 +1,9 @@
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import schurkit as sk
 
@@ -332,6 +334,54 @@ def test_oscillation_matches_the_difference_cube(complex_values):
         phase = sk.PhaseGrid(X, X, np.exp(2j * np.pi * rng.random(X.shape + X.shape)))
         np.testing.assert_array_equal(sk.oscillation(K, cov).values, _oscillation_cube(K, cov))
         np.testing.assert_array_equal(sk.oscillation(K, cov, phase).values, _oscillation_cube(K, cov, phase))
+
+
+def _oscillation_per_pair(K, cov, phase=None):
+    # every ordered (y, z) pair of each patch, one z at a time, kept as the oracle
+    out = np.zeros(K.X.shape + K.Y.shape)
+    for mask in cov.product_masks:
+        y1, y2 = np.nonzero(mask)
+        Ky = K.values[:, :, y1, y2]
+        patch_osc = out[:, :, y1, y2]
+        for z in range(y1.size):
+            Kz = Ky[:, :, z, None]
+            if phase is not None:
+                Kz = phase.values[y1, y2, y1[z], y2[z]] * Kz
+            np.maximum(patch_osc, np.abs(Ky - Kz), out=patch_osc)
+        out[:, :, y1, y2] = patch_osc
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sampled_from(["real", "complex", "ties", "spread"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_oscillation_from_half_the_pairs_matches_the_per_pair_loop(n1, n2, kind, blocks, seed):
+    rng = np.random.default_rng(seed)
+    X = sk.ProductSpace(sk.Space(range(n1), 0.2 + rng.random(n1)), sk.Space(range(n2), 0.2 + rng.random(n2)))
+    shape = X.shape + X.shape
+    if kind == "real":
+        vals = rng.standard_normal(shape)
+    elif kind == "complex":
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    elif kind == "ties":  # repeated values: many differences are exactly 0 or equal
+        vals = rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+    else:  # moduli over 60 decades
+        vals = 10.0 ** rng.uniform(-30, 30, shape) * np.exp(2j * np.pi * rng.random(shape))
+    K = sk.Kernel(X, X, vals)
+    if blocks:
+        b1, b2 = int(rng.integers(1, n1 + 1)), int(rng.integers(1, n2 + 1))
+        patches = [(range(i, min(n1, i + b1 + 1)), range(j, min(n2, j + b2 + 1))) for i in range(0, n1, b1) for j in range(0, n2, b2)]
+        cov = sk.RectCovering(X, patches)
+    else:
+        cov = rand_covering(rng, X, max_patches=4)
+    np.testing.assert_array_equal(sk.oscillation(K, cov).values, _oscillation_per_pair(K, cov))
+    phase = sk.PhaseGrid(X, X, np.exp(2j * np.pi * rng.random(shape)))
+    np.testing.assert_array_equal(sk.oscillation(K, cov, phase).values, _oscillation_per_pair(K, cov, phase))
 
 
 def test_phase_grid_requires_unimodular_entries():
